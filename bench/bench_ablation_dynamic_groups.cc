@@ -8,7 +8,7 @@
 // inherit the dead node, none permanently).
 #include <cstdio>
 
-#include "harness/experiment.h"
+#include "harness/scenario.h"
 
 using namespace pig;
 using namespace pig::harness;
@@ -29,8 +29,9 @@ int main() {
       cfg.reshuffle_interval = interval;
       cfg.num_clients = 128;
       cfg.seed = 42;
-      if (crash) cfg.crash_at = {{0, 24}};
-      RunResult res = RunExperiment(cfg);
+      ScenarioSpec spec;
+      if (crash) spec.schedule = {CrashEvent(0, 24)};
+      RunResult res = RunScenario(spec, cfg);
       std::printf(" %-9s | %-12s | %11.1f | %8.3f | %7.3f\n",
                   interval > 0 ? "100 ms" : "static",
                   crash ? "node 24" : "none", res.throughput, res.mean_ms,

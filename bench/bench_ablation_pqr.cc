@@ -6,6 +6,7 @@
 // and read latency drops below the consensus round trip.
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "client/closed_loop_client.h"
 #include "harness/experiment.h"
@@ -17,7 +18,7 @@ using namespace pig::harness;
 namespace {
 
 /// Closed-loop client that issues PQR reads (majority fan-out) mixed with
-/// leader writes.
+/// leader writes; writes go through the shared client session.
 class PqrClient : public Actor {
  public:
   PqrClient(size_t num_replicas, double read_ratio,
@@ -25,14 +26,12 @@ class PqrClient : public Actor {
       : n_(num_replicas), read_ratio_(read_ratio), recorder_(recorder) {}
 
   void OnStart() override {
-    workload_ = std::make_unique<client::WorkloadGenerator>(
-        client::WorkloadConfig{});
     env_->SetTimer(
         static_cast<TimeNs>(env_->rng().NextBounded(5 * kMillisecond)),
         [this]() { IssueNext(); });
   }
 
-  void OnMessage(NodeId, const MessagePtr& msg) override {
+  void OnMessage(NodeId from, const MessagePtr& msg) override {
     if (msg->type() == MsgType::kQuorumReadReply) {
       const auto& reply = static_cast<const paxos::QuorumReadReply&>(*msg);
       if (!coordinator_ || !coordinator_->OnReply(reply)) {
@@ -43,31 +42,36 @@ class PqrClient : public Actor {
         }
         return;
       }
-      recorder_->RecordCompletion(issued_at_, env_->Now(), true);
+      recorder_->RecordCompletion(issued_at_, env_->Now());
       coordinator_.reset();
       IssueNext();
       return;
     }
-    if (msg->type() == MsgType::kClientReply) {
-      const auto& reply = static_cast<const ClientReply&>(*msg);
-      if (reply.seq != seq_) return;
-      recorder_->RecordCompletion(issued_at_, env_->Now(), false);
+    const ClientReply* reply = nullptr;
+    const client::ReplyKind kind = session_.OnReply(from, *msg, &reply);
+    if (kind == client::ReplyKind::kRedirect) {
+      SendWrite();
+    } else if (kind == client::ReplyKind::kDone) {
+      recorder_->RecordCompletion(issued_at_, env_->Now());
       IssueNext();
     }
   }
 
  private:
   void IssueNext() {
+    issued_at_ = env_->Now();
     if (env_->rng().NextDouble() < read_ratio_) {
-      issued_at_ = env_->Now();
       StartRead();
     } else {
-      issued_at_ = env_->Now();
-      Command cmd = Command::Put(
-          workload_->KeyAt(env_->rng().NextBounded(1000)), "v",
-          env_->self(), ++seq_);
-      env_->Send(0, std::make_shared<ClientRequest>(cmd));
+      const std::string key = workload_.KeyAt(env_->rng().NextBounded(1000));
+      session_.Begin(
+          Command::Put(key, "v", env_->self(), session_.next_seq()));
+      SendWrite();
     }
+  }
+
+  void SendWrite() {
+    env_->Send(session_.Target(env_->rng()), session_.Request());
   }
 
   void StartRead() {
@@ -75,7 +79,7 @@ class PqrClient : public Actor {
     coordinator_ =
         std::make_unique<paxos::QuorumReadCoordinator>(n_, read_id);
     auto req = std::make_shared<paxos::QuorumReadRequest>();
-    req->key = workload_->KeyAt(env_->rng().NextBounded(1000));
+    req->key = workload_.KeyAt(env_->rng().NextBounded(1000));
     req->read_id = read_id;
     // Contact a majority of replicas, leader excluded when possible.
     size_t quorum = n_ / 2 + 1;
@@ -87,9 +91,9 @@ class PqrClient : public Actor {
   size_t n_;
   double read_ratio_;
   std::shared_ptr<client::Recorder> recorder_;
-  std::unique_ptr<client::WorkloadGenerator> workload_;
+  client::WorkloadGenerator workload_{client::WorkloadConfig{}};
+  client::ClientSession session_{n_};
   std::unique_ptr<paxos::QuorumReadCoordinator> coordinator_;
-  uint64_t seq_ = 0;
   uint64_t next_read_id_ = 0;
   TimeNs issued_at_ = 0;
 };

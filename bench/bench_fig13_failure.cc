@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <numeric>
 
-#include "harness/experiment.h"
+#include "harness/scenario.h"
 
 using namespace pig;
 using namespace pig::harness;
@@ -29,10 +29,11 @@ int main() {
   cfg.seed = 42;
   cfg.warmup = 2 * kSecond;
   cfg.measure = 58 * kSecond;
-  cfg.crash_at = {{20 * kSecond, 20}};
-  cfg.recover_at = {{40 * kSecond, 20}};
+  ScenarioSpec spec;
+  spec.schedule = {CrashEvent(20 * kSecond, 20),
+                   RecoverEvent(40 * kSecond, 20)};
 
-  RunResult res = RunExperiment(cfg);
+  RunResult res = RunScenario(spec, cfg);
 
   std::printf(" t(s) | throughput (req/s)\n");
   std::printf(" -----+-------------------\n");

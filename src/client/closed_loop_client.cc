@@ -1,14 +1,14 @@
 #include "client/closed_loop_client.h"
 
 #include <cassert>
+#include <utility>
 
-#include "shard/messages.h"
+#include "shard/router.h"
 
 namespace pig::client {
 
 void Recorder::RecordCompletion(TimeNs issued_at, TimeNs completed_at,
-                                bool is_read, uint32_t group) {
-  (void)is_read;
+                                uint32_t group) {
   const size_t second = static_cast<size_t>(completed_at / kSecond);
   if (timeline_.size() <= second) timeline_.resize(second + 1, 0);
   timeline_[second]++;
@@ -34,70 +34,40 @@ ClosedLoopClient::ClosedLoopClient(ClientConfig config,
     : config_(config),
       recorder_(std::move(recorder)),
       workload_(config.workload),
-      router_(config.num_groups > 0 ? config.num_groups : 1,
-              config.num_replicas > 0 ? config.num_replicas : 1) {
+      session_(config.num_replicas, config.num_groups,
+               config.target_policy) {
   assert(recorder_ != nullptr);
-  // Sharding routes every request to its group's leader; a random-replica
-  // policy would fight the router.
-  assert(config_.num_groups <= 1 ||
-         config_.target_policy == TargetPolicy::kFixedLeader);
 }
 
 void ClosedLoopClient::OnStart() {
-  target_ = config_.initial_target;
-  TimeNs jitter =
-      config_.start_jitter > 0
-          ? static_cast<TimeNs>(env_->rng().NextBounded(
-                static_cast<uint64_t>(config_.start_jitter)))
-          : 0;
+  const auto jitter = static_cast<TimeNs>(
+      env_->rng().NextBounded(static_cast<uint64_t>(kStartJitter)));
   env_->SetTimer(jitter, [this]() { IssueNext(); });
 }
 
-NodeId ClosedLoopClient::PickTarget() {
-  if (config_.target_policy == TargetPolicy::kRandomReplica) {
-    return static_cast<NodeId>(
-        env_->rng().NextBounded(config_.num_replicas));
-  }
-  return target_;
-}
-
 void ClosedLoopClient::IssueNext() {
-  current_ = workload_.Next(env_->self(), ++seq_, env_->rng());
-  if (config_.num_groups > 1) {
-    if (config_.affine_group >= 0) {
-      // Redraw until the key lands in this client's group: expected
-      // num_groups draws, deterministic given the rng stream. Bounded
-      // in case a tiny keyspace misses the group entirely.
-      const auto want = static_cast<uint32_t>(config_.affine_group);
-      for (int tries = 0;
-           tries < 1000 &&
-           shard::GroupOfCommand(current_, config_.num_groups) != want;
-           ++tries) {
-        current_ = workload_.Next(env_->self(), seq_, env_->rng());
-      }
+  const uint64_t seq = session_.next_seq();
+  Command cmd = workload_.Next(env_->self(), seq, env_->rng());
+  if (session_.num_groups() > 1 && config_.affine_group >= 0) {
+    // Redraw until the key lands in this client's group: expected
+    // num_groups draws, deterministic given the rng stream. Bounded in
+    // case a tiny keyspace misses the group entirely.
+    const auto want = static_cast<uint32_t>(config_.affine_group);
+    for (int tries = 0;
+         tries < 1000 &&
+         shard::GroupOfCommand(cmd, session_.num_groups()) != want;
+         ++tries) {
+      cmd = workload_.Next(env_->self(), seq, env_->rng());
     }
-    current_group_ = shard::GroupOfCommand(current_, config_.num_groups);
   }
-  issued_++;
+  session_.Begin(std::move(cmd));
   SendCurrent();
 }
 
 void ClosedLoopClient::SendCurrent() {
   issued_at_ = env_->Now();
-  if (config_.num_groups > 1) {
-    // Sharded path: the router owns per-group leader targeting, and
-    // requests travel enveloped so the hosting node can dispatch them.
-    env_->Send(router_.Target(current_group_),
-               MessagePool::Make<shard::ShardEnvelope>(
-                   current_group_,
-                   std::make_shared<pig::ClientRequest>(current_)));
-  } else {
-    if (config_.target_policy == TargetPolicy::kRandomReplica) {
-      target_ = PickTarget();
-    }
-    env_->Send(target_, std::make_shared<pig::ClientRequest>(current_));
-  }
-  if (timeout_timer_ != kInvalidTimer) env_->CancelTimer(timeout_timer_);
+  env_->Send(session_.Target(env_->rng()), session_.Request());
+  CancelTimer(timeout_timer_);
   timeout_timer_ = env_->SetTimer(config_.request_timeout,
                                   [this]() { OnRequestTimeout(); });
 }
@@ -105,78 +75,46 @@ void ClosedLoopClient::SendCurrent() {
 void ClosedLoopClient::OnRequestTimeout() {
   timeout_timer_ = kInvalidTimer;
   recorder_->RecordTimeout();
-  // The leader may have changed or the request was lost: try another
-  // replica (round-robin away from the current target) and re-send the
-  // same command (dedup at replicas makes this safe).
-  if (config_.num_groups > 1) {
-    router_.NoteSilence(current_group_);
-  } else if (config_.num_replicas > 1 &&
-             config_.target_policy == TargetPolicy::kFixedLeader) {
-    target_ = (target_ + 1) % config_.num_replicas;
-  }
+  // The leader may have changed or the request was lost: probe another
+  // replica with the same command (dedup at replicas makes this safe).
+  session_.NoteSilence();
   SendCurrent();
 }
 
+void ClosedLoopClient::CancelTimer(TimerId& timer) {
+  if (timer == kInvalidTimer) return;
+  env_->CancelTimer(timer);
+  timer = kInvalidTimer;
+}
+
 void ClosedLoopClient::OnMessage(NodeId from, const MessagePtr& msg) {
-  (void)from;
-  MessagePtr inner;  // keeps an unwrapped reply alive through handling
-  const Message* payload = msg.get();
-  uint32_t reply_group = 0;
-  if (config_.num_groups > 1) {
-    if (msg->type() != MsgType::kShardEnvelope) return;
-    const auto& wrapped = static_cast<const shard::ShardEnvelope&>(*msg);
-    if (!wrapped.inner || wrapped.group >= config_.num_groups) return;
-    reply_group = wrapped.group;
-    inner = wrapped.inner;
-    payload = inner.get();
-    // Any answer from a suspected node clears its suspicion, even a
-    // stale one — it proves the node is alive again.
-    router_.NoteReply(reply_group, from);
+  const ClientReply* reply = nullptr;
+  switch (session_.OnReply(from, *msg, &reply)) {
+    case ReplyKind::kIgnored:
+      return;
+    case ReplyKind::kStale:
+      // Only successes count as stale *replies* — a late NotLeader
+      // bounce for a superseded request involved no execution at all.
+      if (reply->code == StatusCode::kOk) recorder_->RecordStaleReply();
+      return;
+    case ReplyKind::kRedirect:
+      recorder_->RecordRedirect();
+      CancelTimer(timeout_timer_);
+      if (backoff_timer_ == kInvalidTimer) {
+        backoff_timer_ = env_->SetTimer(kRedirectBackoff, [this]() {
+          backoff_timer_ = kInvalidTimer;
+          SendCurrent();
+        });
+      }
+      return;
+    case ReplyKind::kDone:
+      break;
   }
-  if (payload->type() != MsgType::kClientReply) return;
-  const auto& reply = static_cast<const pig::ClientReply&>(*payload);
-  if (reply.seq != seq_) {  // stale reply for an older request
-    // Only successes count as stale *replies* — a late NotLeader bounce
-    // for a superseded request involved no execution at all.
-    if (reply.code == StatusCode::kOk) recorder_->RecordStaleReply();
-    return;
-  }
-
-  if (reply.code == StatusCode::kNotLeader) {
-    recorder_->RecordRedirect();
-    if (config_.num_groups > 1) {
-      router_.NoteRedirect(reply_group, reply.leader_hint);
-    } else if (reply.leader_hint != kInvalidNode &&
-               reply.leader_hint != target_) {
-      target_ = reply.leader_hint;
-    } else if (config_.num_replicas > 1) {
-      target_ = (target_ + 1) % config_.num_replicas;
-    }
-    if (timeout_timer_ != kInvalidTimer) {
-      env_->CancelTimer(timeout_timer_);
-      timeout_timer_ = kInvalidTimer;
-    }
-    if (backoff_timer_ == kInvalidTimer) {
-      backoff_timer_ = env_->SetTimer(config_.redirect_backoff, [this]() {
-        backoff_timer_ = kInvalidTimer;
-        SendCurrent();
-      });
-    }
-    return;
-  }
-
-  if (timeout_timer_ != kInvalidTimer) {
-    env_->CancelTimer(timeout_timer_);
-    timeout_timer_ = kInvalidTimer;
-  }
+  CancelTimer(timeout_timer_);
   // The request may complete while a redirect backoff is pending (the
   // old leader executed a batched slot after bouncing our resend).
-  if (backoff_timer_ != kInvalidTimer) {
-    env_->CancelTimer(backoff_timer_);
-    backoff_timer_ = kInvalidTimer;
-  }
-  recorder_->RecordCompletion(issued_at_, env_->Now(),
-                              current_.op == OpType::kGet, current_group_);
+  CancelTimer(backoff_timer_);
+  recorder_->RecordCompletion(issued_at_, env_->Now(), session_.group());
   IssueNext();
 }
 

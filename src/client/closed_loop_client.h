@@ -11,11 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "client/session.h"
 #include "client/workload.h"
 #include "common/histogram.h"
-#include "consensus/client_messages.h"
 #include "consensus/env.h"
-#include "shard/router.h"
 
 namespace pig::client {
 
@@ -37,7 +36,7 @@ class Recorder {
 
   /// `group` attributes the completion to one consensus group in sharded
   /// runs (always 0 for single-group deployments).
-  void RecordCompletion(TimeNs issued_at, TimeNs completed_at, bool is_read,
+  void RecordCompletion(TimeNs issued_at, TimeNs completed_at,
                         uint32_t group = 0);
   void RecordRedirect() { redirects_++; }
   void RecordTimeout() { timeouts_++; }
@@ -77,31 +76,17 @@ class Recorder {
   std::vector<uint64_t> per_group_completed_;
 };
 
-/// Where a client sends its requests.
-enum class TargetPolicy {
-  kFixedLeader,    ///< Paxos/PigPaxos: all traffic to the (known) leader.
-  kRandomReplica,  ///< EPaxos: a random replica per operation (paper §5.4).
-};
-
 struct ClientConfig {
   WorkloadConfig workload;
   TargetPolicy target_policy = TargetPolicy::kFixedLeader;
-  NodeId initial_target = 0;
   size_t num_replicas = 0;  ///< Needed for kRandomReplica and redirects.
 
   /// Re-issue a request unanswered for this long (leader crash, drops).
   TimeNs request_timeout = 1 * kSecond;
 
-  /// Clients stagger their first request uniformly over this interval to
-  /// avoid a synchronized thundering herd at t=0.
-  TimeNs start_jitter = 5 * kMillisecond;
-
-  /// Backoff before retrying after a NotLeader redirect.
-  TimeNs redirect_backoff = 1 * kMillisecond;
-
   /// Consensus groups the keyspace is sharded across. 1 keeps the
-  /// historical single-group behavior byte-identical (no envelopes, no
-  /// router); > 1 routes each command by key hash, wraps traffic in
+  /// historical single-group behavior byte-identical (no envelopes);
+  /// > 1 routes each command by key hash, wraps traffic in
   /// ShardEnvelopes, and tracks one leader guess per group. Sharding
   /// implies kFixedLeader per group.
   uint32_t num_groups = 1;
@@ -115,33 +100,33 @@ struct ClientConfig {
   int affine_group = -1;
 };
 
+/// Simulator driver over ClientSession: timers for request timeouts and
+/// redirect backoff, completions into the shared Recorder.
 class ClosedLoopClient : public Actor {
  public:
+  /// Clients stagger their first request uniformly over this interval to
+  /// avoid a synchronized thundering herd at t=0.
+  static constexpr TimeNs kStartJitter = 5 * kMillisecond;
+  /// Backoff before retrying after a NotLeader redirect.
+  static constexpr TimeNs kRedirectBackoff = 1 * kMillisecond;
+
   ClosedLoopClient(ClientConfig config, std::shared_ptr<Recorder> recorder);
 
   void OnStart() override;
   void OnMessage(NodeId from, const MessagePtr& msg) override;
 
-  uint64_t issued() const { return issued_; }
-
  private:
   void IssueNext();
   void SendCurrent();
   void OnRequestTimeout();
-  NodeId PickTarget();
+  void CancelTimer(TimerId& timer);
 
   ClientConfig config_;
   std::shared_ptr<Recorder> recorder_;
   WorkloadGenerator workload_;
-  // Per-group leader tracking; inert (single group 0) when unsharded.
-  shard::ShardRouter router_;
-  uint32_t current_group_ = 0;
+  ClientSession session_;
 
-  uint64_t seq_ = 0;
-  uint64_t issued_ = 0;
-  Command current_;
   TimeNs issued_at_ = 0;
-  NodeId target_ = kInvalidNode;
   TimerId timeout_timer_ = kInvalidTimer;
   // Pending post-redirect resend. Tracked so a success reply that races
   // the backoff (a batched commit completing after the leader bounced a

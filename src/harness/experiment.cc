@@ -154,7 +154,6 @@ RunResult RunExperiment(const ExperimentConfig& config) {
     client::ClientConfig ccfg;
     ccfg.workload = config.workload;
     ccfg.num_replicas = config.num_replicas;
-    ccfg.initial_target = 0;
     ccfg.target_policy = config.protocol == Protocol::kEPaxos
                              ? client::TargetPolicy::kRandomReplica
                              : client::TargetPolicy::kFixedLeader;
@@ -167,12 +166,6 @@ RunResult RunExperiment(const ExperimentConfig& config) {
         std::make_unique<client::ClosedLoopClient>(ccfg, recorder));
   }
 
-  for (const auto& [when, node] : config.crash_at) {
-    cluster.CrashAt(when, node);
-  }
-  for (const auto& [when, node] : config.recover_at) {
-    cluster.RecoverAt(when, node);
-  }
   if (config.customize) config.customize(cluster);
 
   cluster.Start();

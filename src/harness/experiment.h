@@ -96,11 +96,9 @@ struct ExperimentConfig {
   TimeNs warmup = 1 * kSecond;
   TimeNs measure = 3 * kSecond;
 
-  /// Fault injection: (virtual time, node) pairs.
-  std::vector<std::pair<TimeNs, NodeId>> crash_at;
-  std::vector<std::pair<TimeNs, NodeId>> recover_at;
-
   /// Optional hook invoked after the cluster is built, before Start().
+  /// Scripted faults (crashes, recoveries, partitions) are scheduled
+  /// through it by harness::ApplyScenario.
   std::function<void(sim::Cluster&)> customize;
 };
 

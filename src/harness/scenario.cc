@@ -1,9 +1,9 @@
 #include "harness/scenario.h"
 
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "shard/sharded_node.h"
 
@@ -296,52 +296,6 @@ SweepReport RunScenarioSweep(const ScenarioSpec& spec, const SweepAxes& axes,
   return report;
 }
 
-namespace {
-
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
-
-/// Minimal JSON string escaping for caller-supplied names/labels: a
-/// quote or backslash in a ScenarioSpec.name must not corrupt the
-/// report.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string SweepReportJson(const SweepReport& report) {
   std::string out;

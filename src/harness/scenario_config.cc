@@ -1,12 +1,12 @@
 #include "harness/scenario_config.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <vector>
+
+#include "common/json.h"
 
 namespace pig::harness {
 
@@ -140,6 +140,9 @@ class JsonParser {
           case 'r': out += '\r'; break;
           case 'b': out += '\b'; break;
           case 'f': out += '\f'; break;
+          case 'u':
+            if (Status s = ParseUnicodeEscape(out); !s.ok()) return s;
+            break;
           default:
             return Error("unsupported escape sequence");
         }
@@ -148,6 +151,34 @@ class JsonParser {
       }
     }
     return Error("unterminated string");
+  }
+
+  /// The XXXX of a "\uXXXX" escape (JsonEscape's form for control
+  /// characters), appended as UTF-8. Surrogate pairs are unsupported.
+  Status ParseUnicodeEscape(std::string& out) {
+    const std::string hex = text_.substr(pos_, 4);
+    if (hex.size() != 4 || !std::all_of(hex.begin(), hex.end(), [](char h) {
+          return std::isxdigit(static_cast<unsigned char>(h)) != 0;
+        })) {
+      return Error("malformed \\u escape");
+    }
+    pos_ += 4;
+    const auto code =
+        static_cast<unsigned>(std::strtoul(hex.c_str(), nullptr, 16));
+    if (code >= 0xd800 && code <= 0xdfff) {
+      return Error("unsupported surrogate in \\u escape");
+    }
+    if (code < 0x80) {
+      out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      out += static_cast<char>(0xc0 | (code >> 6));
+      out += static_cast<char>(0x80 | (code & 0x3f));
+    } else {
+      out += static_cast<char>(0xe0 | (code >> 12));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+      out += static_cast<char>(0x80 | (code & 0x3f));
+    }
+    return Status::Ok();
   }
 
   Status ParseNumber(JsonValue& out) {
@@ -302,6 +333,67 @@ Status ReadDouble(const JsonValue& obj, const std::string& key,
   return Status::Ok();
 }
 
+/// How a fault kind uses its "node"/"peer" endpoint fields.
+enum class Endpoint {
+  kNone,              ///< Absent.
+  kConcrete,          ///< Required replica id.
+  kWildcard,          ///< Required; "*" allowed.
+  kOptionalWildcard,  ///< Optional, defaults to "*".
+};
+
+/// The kind-specific payload beyond the endpoints.
+enum class Payload { kNone, kGroups, kGroup, kProbability, kLatency, kFactor };
+
+/// Per-kind field schema shared by the reader, the writer and
+/// ValidateScenario.
+struct KindFields {
+  Endpoint node;
+  Endpoint peer;
+  Payload payload;
+};
+
+KindFields FieldsOf(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kCrash:
+    case FaultKind::kRecover:
+    case FaultKind::kCrashWithDisk:
+    case FaultKind::kCrashLosingDisk:
+    case FaultKind::kGraySlowStart:
+    case FaultKind::kGraySlowEnd:
+      return {Endpoint::kConcrete, Endpoint::kNone, Payload::kNone};
+    case FaultKind::kHeal:
+    case FaultKind::kReshuffle:
+      return {Endpoint::kNone, Endpoint::kNone, Payload::kNone};
+    case FaultKind::kPartition:
+      return {Endpoint::kNone, Endpoint::kNone, Payload::kGroups};
+    case FaultKind::kCrashGroupLeader:
+      return {Endpoint::kNone, Endpoint::kNone, Payload::kGroup};
+    case FaultKind::kLinkDown:
+    case FaultKind::kLinkUp:
+      return {Endpoint::kConcrete, Endpoint::kConcrete, Payload::kNone};
+    case FaultKind::kOneWayDown:  // no peer = mute all of node's sends
+    case FaultKind::kOneWayRestore:
+      return {Endpoint::kConcrete, Endpoint::kOptionalWildcard,
+              Payload::kNone};
+    case FaultKind::kDuplicateLink:
+      return {Endpoint::kWildcard, Endpoint::kWildcard,
+              Payload::kProbability};
+    case FaultKind::kReorderLink:
+      return {Endpoint::kWildcard, Endpoint::kWildcard, Payload::kLatency};
+    case FaultKind::kClockSkew:
+      return {Endpoint::kConcrete, Endpoint::kNone, Payload::kFactor};
+  }
+  return {Endpoint::kNone, Endpoint::kNone, Payload::kNone};
+}
+
+Status ReadEndpoint(const JsonValue& obj, const char* key, Endpoint how,
+                    NodeId& out) {
+  if (how == Endpoint::kNone) return Status::Ok();
+  if (how == Endpoint::kOptionalWildcard) out = kInvalidNode;
+  return ReadNode(obj, key, /*required=*/how != Endpoint::kOptionalWildcard,
+                  /*allow_wildcard=*/how != Endpoint::kConcrete, out);
+}
+
 Status ParseEvent(const JsonValue& obj, FaultEvent& e) {
   if (obj.type != JsonValue::Type::kObject) {
     return Status::InvalidArgument("scenario: schedule entries must be "
@@ -317,20 +409,18 @@ Status ParseEvent(const JsonValue& obj, FaultEvent& e) {
   if (Status s = ReadTime(obj, "at", /*required=*/true, e.at); !s.ok()) {
     return s;
   }
+  const KindFields f = FieldsOf(e.kind);
+  if (Status s = ReadEndpoint(obj, "node", f.node, e.node); !s.ok()) {
+    return s;
+  }
+  if (Status s = ReadEndpoint(obj, "peer", f.peer, e.peer); !s.ok()) {
+    return s;
+  }
 
-  switch (e.kind) {
-    case FaultKind::kCrash:
-    case FaultKind::kRecover:
-    case FaultKind::kCrashWithDisk:
-    case FaultKind::kCrashLosingDisk:
-    case FaultKind::kGraySlowStart:
-    case FaultKind::kGraySlowEnd:
-      return ReadNode(obj, "node", /*required=*/true,
-                      /*allow_wildcard=*/false, e.node);
-    case FaultKind::kHeal:
-    case FaultKind::kReshuffle:
+  switch (f.payload) {
+    case Payload::kNone:
       return Status::Ok();
-    case FaultKind::kPartition: {
+    case Payload::kGroups: {
       const JsonValue* groups = obj.Find("groups");
       if (groups == nullptr || groups->type != JsonValue::Type::kArray) {
         return Status::InvalidArgument(
@@ -346,7 +436,7 @@ Status ParseEvent(const JsonValue& obj, FaultEvent& e) {
       }
       return Status::Ok();
     }
-    case FaultKind::kCrashGroupLeader: {
+    case Payload::kGroup: {
       const JsonValue* group = obj.Find("group");
       if (group == nullptr || group->type != JsonValue::Type::kNumber ||
           !group->is_integer || group->integer < 0) {
@@ -356,37 +446,7 @@ Status ParseEvent(const JsonValue& obj, FaultEvent& e) {
       e.group = static_cast<uint32_t>(group->integer);
       return Status::Ok();
     }
-    case FaultKind::kLinkDown:
-    case FaultKind::kLinkUp:
-      if (Status s = ReadNode(obj, "node", /*required=*/true,
-                              /*allow_wildcard=*/false, e.node);
-          !s.ok()) {
-        return s;
-      }
-      return ReadNode(obj, "peer", /*required=*/true,
-                      /*allow_wildcard=*/false, e.peer);
-    case FaultKind::kOneWayDown:
-    case FaultKind::kOneWayRestore:
-      if (Status s = ReadNode(obj, "node", /*required=*/true,
-                              /*allow_wildcard=*/false, e.node);
-          !s.ok()) {
-        return s;
-      }
-      // peer defaults to the wildcard: mute all of node's sends.
-      e.peer = kInvalidNode;
-      return ReadNode(obj, "peer", /*required=*/false,
-                      /*allow_wildcard=*/true, e.peer);
-    case FaultKind::kDuplicateLink:
-      if (Status s = ReadNode(obj, "node", /*required=*/true,
-                              /*allow_wildcard=*/true, e.node);
-          !s.ok()) {
-        return s;
-      }
-      if (Status s = ReadNode(obj, "peer", /*required=*/true,
-                              /*allow_wildcard=*/true, e.peer);
-          !s.ok()) {
-        return s;
-      }
+    case Payload::kProbability:
       if (Status s = ReadDouble(obj, "probability", e.value); !s.ok()) {
         return s;
       }
@@ -395,25 +455,10 @@ Status ParseEvent(const JsonValue& obj, FaultEvent& e) {
             "scenario: duplicate-link probability must be in [0, 1]");
       }
       return Status::Ok();
-    case FaultKind::kReorderLink:
-      if (Status s = ReadNode(obj, "node", /*required=*/true,
-                              /*allow_wildcard=*/true, e.node);
-          !s.ok()) {
-        return s;
-      }
-      if (Status s = ReadNode(obj, "peer", /*required=*/true,
-                              /*allow_wildcard=*/true, e.peer);
-          !s.ok()) {
-        return s;
-      }
+    case Payload::kLatency:
       return ReadTime(obj, "extra_latency", /*required=*/true,
                       e.extra_latency);
-    case FaultKind::kClockSkew:
-      if (Status s = ReadNode(obj, "node", /*required=*/true,
-                              /*allow_wildcard=*/false, e.node);
-          !s.ok()) {
-        return s;
-      }
+    case Payload::kFactor:
       if (Status s = ReadDouble(obj, "factor", e.value); !s.ok()) return s;
       if (e.value <= 0.0) {
         return Status::InvalidArgument(
@@ -425,39 +470,7 @@ Status ParseEvent(const JsonValue& obj, FaultEvent& e) {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization (mirrors the AppendF style of SweepReportJson).
-
-void AppendF(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+// Serialization (common/json.h, shared with SweepReportJson).
 
 void AppendNodeField(std::string& out, const char* key, NodeId node) {
   if (node == kInvalidNode) {
@@ -493,31 +506,14 @@ const char* FaultKindName(FaultKind kind) {
 }
 
 Result<FaultKind> FaultKindFromName(const std::string& name) {
-  static const std::map<std::string, FaultKind> kKinds = {
-      {"crash", FaultKind::kCrash},
-      {"recover", FaultKind::kRecover},
-      {"partition", FaultKind::kPartition},
-      {"heal", FaultKind::kHeal},
-      {"gray-slow-start", FaultKind::kGraySlowStart},
-      {"gray-slow-end", FaultKind::kGraySlowEnd},
-      {"link-down", FaultKind::kLinkDown},
-      {"link-up", FaultKind::kLinkUp},
-      {"reshuffle", FaultKind::kReshuffle},
-      {"crash-group-leader", FaultKind::kCrashGroupLeader},
-      {"crash-with-disk", FaultKind::kCrashWithDisk},
-      {"crash-losing-disk", FaultKind::kCrashLosingDisk},
-      {"one-way-down", FaultKind::kOneWayDown},
-      {"one-way-restore", FaultKind::kOneWayRestore},
-      {"duplicate-link", FaultKind::kDuplicateLink},
-      {"reorder-link", FaultKind::kReorderLink},
-      {"clock-skew", FaultKind::kClockSkew},
-  };
-  auto it = kKinds.find(name);
-  if (it == kKinds.end()) {
-    return Status::InvalidArgument("scenario: unknown fault kind \"" + name +
-                                   "\"");
+  // FaultKind is contiguous from kCrash (0) through kClockSkew (last).
+  for (int k = 0; k <= static_cast<int>(FaultKind::kClockSkew); ++k) {
+    if (name == FaultKindName(static_cast<FaultKind>(k))) {
+      return static_cast<FaultKind>(k);
+    }
   }
-  return it->second;
+  return Status::InvalidArgument("scenario: unknown fault kind \"" + name +
+                                 "\"");
 }
 
 Result<ScenarioSpec> ScenarioFromJson(const std::string& json) {
@@ -604,48 +600,30 @@ std::string ScenarioToJson(const ScenarioSpec& spec) {
     AppendF(out, "%s\n    {\"at_ns\": %lld, \"kind\": \"%s\"",
             i > 0 ? "," : "", static_cast<long long>(e.at),
             FaultKindName(e.kind));
-    switch (e.kind) {
-      case FaultKind::kCrash:
-      case FaultKind::kRecover:
-      case FaultKind::kCrashWithDisk:
-      case FaultKind::kCrashLosingDisk:
-      case FaultKind::kGraySlowStart:
-      case FaultKind::kGraySlowEnd:
-        AppendNodeField(out, "node", e.node);
+    const KindFields f = FieldsOf(e.kind);
+    if (f.node != Endpoint::kNone) AppendNodeField(out, "node", e.node);
+    if (f.peer != Endpoint::kNone) AppendNodeField(out, "peer", e.peer);
+    switch (f.payload) {
+      case Payload::kNone:
         break;
-      case FaultKind::kHeal:
-      case FaultKind::kReshuffle:
-        break;
-      case FaultKind::kPartition:
+      case Payload::kGroups:
         out += ", \"groups\": [";
         for (size_t g = 0; g < e.partition_groups.size(); ++g) {
           AppendF(out, "%s%d", g > 0 ? "," : "", e.partition_groups[g]);
         }
         out += "]";
         break;
-      case FaultKind::kCrashGroupLeader:
+      case Payload::kGroup:
         AppendF(out, ", \"group\": %u", e.group);
         break;
-      case FaultKind::kLinkDown:
-      case FaultKind::kLinkUp:
-      case FaultKind::kOneWayDown:
-      case FaultKind::kOneWayRestore:
-        AppendNodeField(out, "node", e.node);
-        AppendNodeField(out, "peer", e.peer);
-        break;
-      case FaultKind::kDuplicateLink:
-        AppendNodeField(out, "node", e.node);
-        AppendNodeField(out, "peer", e.peer);
+      case Payload::kProbability:
         AppendF(out, ", \"probability\": %.6g", e.value);
         break;
-      case FaultKind::kReorderLink:
-        AppendNodeField(out, "node", e.node);
-        AppendNodeField(out, "peer", e.peer);
+      case Payload::kLatency:
         AppendF(out, ", \"extra_latency_ns\": %lld",
                 static_cast<long long>(e.extra_latency));
         break;
-      case FaultKind::kClockSkew:
-        AppendNodeField(out, "node", e.node);
+      case Payload::kFactor:
         AppendF(out, ", \"factor\": %.6g", e.value);
         break;
     }
@@ -686,29 +664,10 @@ Status ValidateScenario(const ScenarioSpec& spec, size_t num_replicas) {
       }
     }
     // Kinds that act on a specific node must actually name one.
-    switch (e.kind) {
-      case FaultKind::kCrash:
-      case FaultKind::kRecover:
-      case FaultKind::kCrashWithDisk:
-      case FaultKind::kCrashLosingDisk:
-      case FaultKind::kGraySlowStart:
-      case FaultKind::kGraySlowEnd:
-      case FaultKind::kClockSkew:
-      case FaultKind::kOneWayDown:
-      case FaultKind::kOneWayRestore:
-        if (e.node == kInvalidNode) {
-          return Status::InvalidArgument(where() + ": needs a concrete node");
-        }
-        break;
-      case FaultKind::kLinkDown:
-      case FaultKind::kLinkUp:
-        if (e.node == kInvalidNode || e.peer == kInvalidNode) {
-          return Status::InvalidArgument(where() +
-                                         ": needs concrete endpoints");
-        }
-        break;
-      default:
-        break;
+    const KindFields f = FieldsOf(e.kind);
+    if ((f.node == Endpoint::kConcrete && e.node == kInvalidNode) ||
+        (f.peer == Endpoint::kConcrete && e.peer == kInvalidNode)) {
+      return Status::InvalidArgument(where() + ": needs a concrete node");
     }
     if (e.kind == FaultKind::kPartition &&
         e.partition_groups.size() > num_replicas) {

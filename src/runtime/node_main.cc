@@ -282,7 +282,7 @@ int RunClient(const Args& args) {
     cluster.AddPeer(i, args.peers[i].first, args.peers[i].second);
   }
   auto client = std::make_unique<pig::runtime::SyncClient>(
-      args.peers.size(), 200 * pig::kMillisecond, args.num_groups);
+      args.peers.size(), args.num_groups);
   pig::runtime::SyncClient* kv = client.get();
   cluster.AddActor(pig::kFirstClientId, std::move(client), /*port=*/0);
   cluster.Start();

@@ -1,11 +1,11 @@
 #include "runtime/thread_cluster.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 
 #include "common/logging.h"
 #include "consensus/client_messages.h"
-#include "shard/messages.h"
 
 namespace pig::runtime {
 
@@ -111,25 +111,16 @@ void ThreadCluster::RestartNode(NodeId id, std::unique_ptr<Actor> actor) {
 // ---------------------------------------------------------------------------
 
 void SyncClient::OnMessage(NodeId from, const MessagePtr& msg) {
-  // Sharded replicas answer through ShardEnvelopes; unwrap transparently
-  // so the waiting Execute sees a plain reply either way.
-  const Message* payload = msg.get();
-  MessagePtr inner;
-  if (msg->type() == MsgType::kShardEnvelope) {
-    const auto& wrapped = static_cast<const shard::ShardEnvelope&>(*msg);
-    if (!wrapped.inner) return;
-    inner = wrapped.inner;
-    payload = inner.get();
-  }
-  if (payload->type() != MsgType::kClientReply) return;
-  const auto& reply = static_cast<const ClientReply&>(*payload);
   std::lock_guard<std::mutex> lock(mu_);
-  if (reply.seq != seq_) return;
-  have_reply_ = true;
-  reply_code_ = reply.code;
-  reply_value_ = reply.value;
-  reply_hint_ = reply.leader_hint;
-  reply_from_ = from;
+  const ClientReply* reply = nullptr;
+  const client::ReplyKind kind = session_.OnReply(from, *msg, &reply);
+  if (kind == client::ReplyKind::kDone) {
+    reply_code_ = reply->code;
+    reply_value_ = reply->value;
+  } else if (kind != client::ReplyKind::kRedirect) {
+    return;
+  }
+  wake_ = kind;
   cv_.notify_all();
 }
 
@@ -138,55 +129,35 @@ Result<std::string> SyncClient::Execute(OpType op, const std::string& key,
                                         TimeNs timeout) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::nanoseconds(timeout);
-  uint64_t seq;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    seq = ++seq_;
-    have_reply_ = false;
-  }
-  Command cmd;
-  cmd.op = op;
-  cmd.key = key;
-  cmd.value = value;
-  cmd.client = env_->self();
-  cmd.seq = seq;
-  const uint32_t group =
-      shard::GroupOfCommand(cmd, static_cast<uint32_t>(num_groups_));
+  std::unique_lock<std::mutex> lock(mu_);
+  session_.Begin(
+      Command{op, key, value, env_->self(), session_.next_seq(), {}});
+  wake_ = client::ReplyKind::kIgnored;
 
   for (;;) {
-    NodeId target;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      target = router_.Target(group);
-    }
-    MessagePtr request = std::make_shared<ClientRequest>(cmd);
-    if (num_groups_ > 1) {
-      request = MessagePool::Make<shard::ShardEnvelope>(group,
-                                                        std::move(request));
-    }
+    const NodeId target = session_.Target(env_->rng());
+    MessagePtr request = session_.Request();
+    lock.unlock();
     env_->Send(target, std::move(request));
-    std::unique_lock<std::mutex> lock(mu_);
+    lock.lock();
     // Per-attempt wait; overall bounded by the deadline.
-    if (!cv_.wait_until(lock,
-                        std::min(deadline,
-                                 std::chrono::steady_clock::now() +
-                                     std::chrono::nanoseconds(
-                                         attempt_timeout_)),
-                        [this]() { return have_reply_; })) {
+    const auto attempt_end =
+        std::chrono::steady_clock::now() +
+        std::chrono::nanoseconds(kAttemptTimeout);
+    if (!cv_.wait_until(lock, std::min(deadline, attempt_end), [this]() {
+          return wake_ != client::ReplyKind::kIgnored;
+        })) {
       if (std::chrono::steady_clock::now() >= deadline) {
         return Status::Timeout("no reply for " + key);
       }
-      // Silence means a dead or unreachable replica: suspect it and
-      // re-probe the others instead of waiting on it again.
-      router_.NoteSilence(group);
+      session_.NoteSilence();
       continue;
     }
-    router_.NoteReply(group, reply_from_);
-    if (reply_code_ == StatusCode::kNotLeader) {
-      have_reply_ = false;
-      router_.NoteRedirect(group, reply_hint_);
+    if (wake_ == client::ReplyKind::kRedirect) {
+      wake_ = client::ReplyKind::kIgnored;
       lock.unlock();
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      lock.lock();
       continue;
     }
     if (reply_code_ != StatusCode::kOk) {

@@ -19,12 +19,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "client/session.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "consensus/env.h"
 #include "runtime/event_loop.h"
 #include "runtime/transport.h"
-#include "shard/router.h"
 #include "statemachine/command.h"
 
 namespace pig::runtime {
@@ -94,28 +94,21 @@ class ThreadCluster : private Transport {
 };
 
 /// Blocking client facade over a wall-clock runtime (ThreadCluster or
-/// TcpCluster): submits one command and waits for the reply, following
-/// NotLeader redirects. Register it as an actor, then call Execute from
-/// any external thread.
+/// TcpCluster): submits one command and waits for the reply. Register it
+/// as an actor, then call Execute from any external thread.
 ///
-/// With `num_groups` > 1 the client speaks the sharded wire dialect:
-/// each command routes to its key's consensus group (shard/router.h),
-/// travels wrapped in a ShardEnvelope, and leader discovery — including
-/// the suspect machinery for replicas that eat requests without
-/// answering, and the distrust of stale NotLeader hints pointing back at
-/// a crashed leader — is tracked independently per group.
+/// A thin driver over client::ClientSession, which owns seq matching,
+/// the sharded ShardEnvelope dialect (`num_groups` > 1), NotLeader
+/// redirects and per-group leader suspicion; this class adds only the
+/// mutex/condvar hand-off and the wall-clock retry pacing.
 class SyncClient : public Actor {
  public:
-  /// `attempt_timeout` bounds how long one replica gets to answer before
-  /// the client re-probes another one (a crashed leader never answers).
-  explicit SyncClient(size_t num_replicas,
-                      TimeNs attempt_timeout = 200 * kMillisecond,
-                      size_t num_groups = 1)
-      : num_replicas_(num_replicas),
-        num_groups_(num_groups > 0 ? num_groups : 1),
-        attempt_timeout_(attempt_timeout),
-        router_(static_cast<uint32_t>(num_groups > 0 ? num_groups : 1),
-                num_replicas > 0 ? num_replicas : 1) {}
+  /// How long one replica gets to answer before the client re-probes
+  /// another one (a crashed leader never answers).
+  static constexpr TimeNs kAttemptTimeout = 200 * kMillisecond;
+
+  explicit SyncClient(size_t num_replicas, size_t num_groups = 1)
+      : session_(num_replicas, static_cast<uint32_t>(num_groups)) {}
 
   void OnMessage(NodeId from, const MessagePtr& msg) override;
 
@@ -126,21 +119,14 @@ class SyncClient : public Actor {
                               TimeNs timeout = 5 * kSecond);
 
  private:
-  size_t num_replicas_;
-  size_t num_groups_;
-  TimeNs attempt_timeout_;
-  // Per-group leader guess + suspect/stale-hint tracking (one group when
-  // unsharded). Guarded by mu_ (Execute may be called from any thread).
-  shard::ShardRouter router_;
-
   std::mutex mu_;
   std::condition_variable cv_;
-  uint64_t seq_ = 0;
-  bool have_reply_ = false;
+  // Guarded by mu_ (Execute runs on caller threads, OnMessage on the
+  // actor's loop).
+  client::ClientSession session_;
+  client::ReplyKind wake_ = client::ReplyKind::kIgnored;
   StatusCode reply_code_ = StatusCode::kOk;
   std::string reply_value_;
-  NodeId reply_hint_ = kInvalidNode;
-  NodeId reply_from_ = kInvalidNode;
 };
 
 }  // namespace pig::runtime

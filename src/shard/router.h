@@ -6,12 +6,12 @@
 // golden values in tests/shard_router_test.cc so it can never drift
 // under refactoring (a silent change would re-partition live data).
 //
-// ShardRouter also tracks one leader guess per group, replicating the
-// SyncClient suspect machinery (runtime/thread_cluster.h): a replica
-// that eats a request without answering is suspected and skipped, and
-// stale NotLeader hints pointing back at the suspect are distrusted
-// until redirects insist. Each group's consensus runs independently, so
-// the tracking state is fully per-group.
+// ShardRouter also tracks one leader guess per group for the client core
+// (client/session.h): a replica that eats a request without answering
+// is suspected and skipped, and stale NotLeader hints pointing back at
+// the suspect are distrusted until redirects insist. Each group's
+// consensus runs independently, so the tracking state is fully
+// per-group; unsharded clients use a single group.
 #pragma once
 
 #include <cassert>
@@ -53,7 +53,7 @@ inline uint32_t GroupOfCommand(const Command& cmd, uint32_t num_groups) {
   return GroupOfKey(cmd.key, num_groups);
 }
 
-/// Per-group leader tracker for sharded clients.
+/// Per-group leader tracker for clients (one group when unsharded).
 class ShardRouter {
  public:
   /// Each group's initial target mirrors the harness's leader-placement
@@ -77,6 +77,9 @@ class ShardRouter {
 
   /// Current best-guess leader for group `g`.
   NodeId Target(uint32_t g) const { return groups_[g].target; }
+
+  /// Overrides group `g`'s target (suspicion state is kept).
+  void SetTarget(uint32_t g, NodeId target) { groups_[g].target = target; }
 
   /// Group `g`'s target never answered: suspect it and probe the next
   /// replica.

@@ -15,9 +15,9 @@ namespace {
 TEST(RecorderTest, WindowFiltersCompletions) {
   client::Recorder rec;
   rec.SetWindow(1 * kSecond, 2 * kSecond);
-  rec.RecordCompletion(900 * kMillisecond, 950 * kMillisecond, false);
-  rec.RecordCompletion(1100 * kMillisecond, 1200 * kMillisecond, false);
-  rec.RecordCompletion(1900 * kMillisecond, 2000 * kMillisecond, false);
+  rec.RecordCompletion(900 * kMillisecond, 950 * kMillisecond);
+  rec.RecordCompletion(1100 * kMillisecond, 1200 * kMillisecond);
+  rec.RecordCompletion(1900 * kMillisecond, 2000 * kMillisecond);
   EXPECT_EQ(rec.completed(), 1u);  // only the middle one is in-window
   EXPECT_DOUBLE_EQ(rec.Throughput(), 1.0);
 }
@@ -25,9 +25,9 @@ TEST(RecorderTest, WindowFiltersCompletions) {
 TEST(RecorderTest, TimelineBucketsBySecond) {
   client::Recorder rec;
   rec.SetWindow(0, 10 * kSecond);
-  rec.RecordCompletion(0, 500 * kMillisecond, false);
-  rec.RecordCompletion(0, 1500 * kMillisecond, false);
-  rec.RecordCompletion(0, 1700 * kMillisecond, true);
+  rec.RecordCompletion(0, 500 * kMillisecond);
+  rec.RecordCompletion(0, 1500 * kMillisecond);
+  rec.RecordCompletion(0, 1700 * kMillisecond);
   ASSERT_GE(rec.timeline().size(), 2u);
   EXPECT_EQ(rec.timeline()[0], 1u);
   EXPECT_EQ(rec.timeline()[1], 2u);
@@ -36,8 +36,8 @@ TEST(RecorderTest, TimelineBucketsBySecond) {
 TEST(RecorderTest, LatencyHistogramFeeds) {
   client::Recorder rec;
   rec.SetWindow(0, kSecond);
-  rec.RecordCompletion(0, 2 * kMillisecond, false);
-  rec.RecordCompletion(0, 4 * kMillisecond, false);
+  rec.RecordCompletion(0, 2 * kMillisecond);
+  rec.RecordCompletion(0, 4 * kMillisecond);
   EXPECT_EQ(rec.latency().count(), 2u);
   EXPECT_GT(rec.latency().MeanMillis(), 2.0);
   EXPECT_LT(rec.latency().MeanMillis(), 4.1);
@@ -111,7 +111,6 @@ TEST(ClosedLoopClientTest, FollowsRedirects) {
   recorder->SetWindow(0, 60 * kSecond);
   client::ClientConfig cfg;
   cfg.num_replicas = 2;
-  cfg.initial_target = 0;  // points at the redirecting node
   cluster.AddClient(
       sim::Cluster::MakeClientId(0),
       std::make_unique<client::ClosedLoopClient>(cfg, recorder));
@@ -120,6 +119,31 @@ TEST(ClosedLoopClientTest, FollowsRedirects) {
   EXPECT_GT(recorder->redirects(), 0u);
   EXPECT_GT(recorder->completed(), 10u);
   EXPECT_GT(lead->requests, 10);
+}
+
+TEST(ClosedLoopClientTest, DistrustsStaleHintTowardSilentLeader) {
+  // Node 0 is a crashed leader (silent), node 1 still names it in its
+  // NotLeader hints, node 2 answers. Following the stale hint bounces
+  // 0 -> 1 -> 0 forever; the client must suspect the silent node, skip
+  // the hint, and settle on node 2.
+  sim::Cluster cluster{sim::ClusterOptions{}};
+  cluster.AddReplica(0, std::make_unique<ScriptedReplica>(/*drop=*/1 << 30));
+  cluster.AddReplica(
+      1, std::make_unique<ScriptedReplica>(0, /*redirect_to=*/0));
+  cluster.AddReplica(2, std::make_unique<ScriptedReplica>(0));
+  auto recorder = std::make_shared<client::Recorder>();
+  recorder->SetWindow(0, 60 * kSecond);
+  client::ClientConfig cfg;
+  cfg.num_replicas = 3;
+  cfg.request_timeout = 100 * kMillisecond;
+  cluster.AddClient(
+      sim::Cluster::MakeClientId(0),
+      std::make_unique<client::ClosedLoopClient>(cfg, recorder));
+  cluster.Start();
+  cluster.RunFor(2 * kSecond);
+  EXPECT_GT(recorder->completed(), 1000u);
+  EXPECT_EQ(recorder->timeouts(), 1u);
+  EXPECT_EQ(recorder->redirects(), 1u);
 }
 
 TEST(ClosedLoopClientTest, OneOutstandingRequestAtATime) {

@@ -9,8 +9,8 @@
 
 #include "baselines/ring_replica.h"
 #include "harness/scenario.h"
+#include "history_client.h"
 #include "linearizability.h"
-#include "shard/messages.h"
 #include "shard/router.h"
 #include "shard/sharded_node.h"
 #include "statemachine/batch.h"
@@ -19,150 +19,6 @@
 
 namespace pig::test {
 namespace {
-
-// ---------------------------------------------------------------------------
-// History-recording closed-loop client. Writes carry globally unique
-// values ("c<idx>#<seq>") so the linearizability checker can match reads
-// to writes; timeouts resend the same command (replica dedup makes that
-// safe) and redirects follow the leader hint.
-
-class HistoryClient : public Actor {
- public:
-  struct Config {
-    size_t num_replicas = 0;
-    size_t num_keys = 8;
-    double read_ratio = 0.5;
-    TimeNs request_timeout = 250 * kMillisecond;
-    uint32_t index = 0;
-    uint32_t num_groups = 1;
-    /// Leaderless protocol (EPaxos): clients spread their initial target
-    /// across the replicas instead of converging on a single leader.
-    bool leaderless = false;
-  };
-
-  explicit HistoryClient(Config cfg) : cfg_(cfg) {
-    if (cfg_.num_groups > 1) {
-      router_ = std::make_unique<shard::ShardRouter>(cfg_.num_groups,
-                                                     cfg_.num_replicas);
-    }
-  }
-
-  void OnStart() override {
-    target_ = cfg_.leaderless
-                  ? static_cast<NodeId>(cfg_.index % cfg_.num_replicas)
-                  : 0;
-    env_->SetTimer(
-        static_cast<TimeNs>(env_->rng().NextBounded(5 * kMillisecond)),
-        [this]() { IssueNext(); });
-  }
-
-  void OnMessage(NodeId from, const MessagePtr& msg) override {
-    const Message* payload = msg.get();
-    MessagePtr inner;  // keeps an unwrapped payload alive past `msg`
-    if (router_ != nullptr) {
-      // Sharded replicas answer through ShardEnvelopes only.
-      if (msg->type() != MsgType::kShardEnvelope) return;
-      const auto& env = static_cast<const shard::ShardEnvelope&>(*msg);
-      if (env.inner == nullptr || env.group >= cfg_.num_groups) return;
-      inner = env.inner;
-      payload = inner.get();
-      router_->NoteReply(env.group, from);
-    }
-    if (payload->type() != MsgType::kClientReply) return;
-    const auto& r = static_cast<const ClientReply&>(*payload);
-    if (r.seq != seq_) return;  // stale duplicate for a completed request
-    if (r.code == StatusCode::kNotLeader) {
-      if (router_ != nullptr) {
-        router_->NoteRedirect(current_group_, r.leader_hint);
-      } else if (r.leader_hint != kInvalidNode && r.leader_hint != target_) {
-        target_ = r.leader_hint;
-      } else {
-        target_ = (target_ + 1) % cfg_.num_replicas;
-      }
-      if (backoff_pending_) return;
-      backoff_pending_ = true;
-      env_->SetTimer(kMillisecond, [this, s = seq_]() {
-        backoff_pending_ = false;
-        if (s == seq_) SendCurrent();
-      });
-      return;
-    }
-    if (r.code != StatusCode::kOk) return;
-    HistoryOp op;
-    op.client = env_->self();
-    op.is_read = current_.op == OpType::kGet;
-    op.key = current_.key;
-    op.value = op.is_read ? r.value : current_.value;
-    op.invoked = invoked_at_;
-    op.completed = env_->Now();
-    history.push_back(op);
-    if (!op.is_read) acked_write_seqs.push_back(seq_);
-    IssueNext();
-  }
-
-  /// Stops issuing (and re-sending): called before the final drain so
-  /// replicas can converge with no in-flight tail at check time.
-  void Stop() { stopped_ = true; }
-
-  std::vector<HistoryOp> history;
-  std::vector<uint64_t> acked_write_seqs;
-
- private:
-  void IssueNext() {
-    // Retire the completed seq BEFORE the stopped check: a duplicated
-    // (or dedup-cache re-sent) ClientReply for the final pre-Stop
-    // command must not match seq_ again, or the completion is recorded
-    // twice and the history grows a duplicate write value.
-    ++seq_;
-    if (stopped_) return;
-    const std::string key =
-        "k" + std::to_string(env_->rng().NextBounded(cfg_.num_keys));
-    const bool read = env_->rng().NextDouble() < cfg_.read_ratio;
-    if (read) {
-      current_ = Command::Get(key, env_->self(), seq_);
-    } else {
-      current_ = Command::Put(
-          key, "c" + std::to_string(cfg_.index) + "#" + std::to_string(seq_),
-          env_->self(), seq_);
-    }
-    invoked_at_ = env_->Now();
-    if (router_ != nullptr) {
-      current_group_ = shard::GroupOfCommand(current_, cfg_.num_groups);
-    }
-    SendCurrent();
-  }
-
-  void SendCurrent() {
-    if (stopped_) return;
-    if (router_ != nullptr) {
-      env_->Send(router_->Target(current_group_),
-                 std::make_shared<shard::ShardEnvelope>(
-                     current_group_,
-                     std::make_shared<ClientRequest>(current_)));
-    } else {
-      env_->Send(target_, std::make_shared<ClientRequest>(current_));
-    }
-    env_->SetTimer(cfg_.request_timeout, [this, s = seq_]() {
-      if (s != seq_) return;  // completed in the meantime
-      if (router_ != nullptr) {
-        router_->NoteSilence(current_group_);
-      } else {
-        target_ = (target_ + 1) % cfg_.num_replicas;
-      }
-      SendCurrent();
-    });
-  }
-
-  Config cfg_;
-  uint64_t seq_ = 0;
-  Command current_;
-  TimeNs invoked_at_ = 0;
-  NodeId target_ = 0;
-  std::unique_ptr<shard::ShardRouter> router_;  // sharded mode only
-  uint32_t current_group_ = 0;
-  bool backoff_pending_ = false;
-  bool stopped_ = false;
-};
 
 // ---------------------------------------------------------------------------
 // Cluster construction

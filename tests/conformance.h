@@ -60,6 +60,10 @@ struct ConformanceConfig {
   /// arms are skipped: explicit-prepare recovery is not implemented
   /// (DESIGN.md §6), so epaxos rows exercise the *delivery* fault kinds
   /// — duplication, reordering, one-way partitions, clock skew.
+  /// Client targets are fixed per client (client i starts at replica
+  /// i % N and moves on only when it goes silent). Random per-send
+  /// targets are outside the contract: without recovery, they make
+  /// stores diverge under one-way partitions.
   bool use_epaxos = false;
   /// EPaxosOptions::retry_interval / commit_rebroadcasts for epaxos
   /// rows. Any schedule that loses messages (drops, partitions) needs

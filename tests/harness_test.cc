@@ -9,6 +9,7 @@
 
 #include "harness/experiment.h"
 #include "harness/report.h"
+#include "harness/scenario.h"
 
 namespace pig::harness {
 namespace {
@@ -130,8 +131,9 @@ TEST(HarnessTest, CrashInjectionReflectsInTimeline) {
   cfg.num_clients = 16;
   // Crash the leader at t=1s; a new leader must take over and the
   // timeline must show completions near the end of the run.
-  cfg.crash_at = {{1 * kSecond, 0}};
-  RunResult res = RunExperiment(cfg);
+  ScenarioSpec spec;
+  spec.schedule = {CrashEvent(1 * kSecond, 0)};
+  RunResult res = RunScenario(spec, cfg);
   ASSERT_GE(res.timeline.size(), 4u);
   EXPECT_GT(res.timeline[0], 0u);
   EXPECT_GT(res.timeline[3], 0u) << "no recovery after leader crash";

@@ -3,6 +3,7 @@
 // conflicting clients.
 #include <gtest/gtest.h>
 
+#include "history_client.h"
 #include "linearizability.h"
 #include "test_util.h"
 
@@ -86,72 +87,6 @@ TEST(LinearizabilityCheckerTest, AcceptsInitialReadBeforeWrites) {
 
 // --- Live histories -----------------------------------------------------
 
-/// Closed-loop client recording a history of uniquely-valued writes and
-/// reads over a tiny hot keyspace.
-class HistoryClient : public Actor {
- public:
-  HistoryClient(std::vector<HistoryOp>* sink, size_t num_replicas,
-                bool random_target)
-      : sink_(sink), n_(num_replicas), random_target_(random_target) {}
-
-  void OnStart() override {
-    env_->SetTimer(env_->rng().NextBounded(2 * kMillisecond),
-                   [this]() { Issue(); });
-  }
-
-  void OnMessage(NodeId, const MessagePtr& msg) override {
-    if (msg->type() != MsgType::kClientReply) return;
-    const auto& reply = static_cast<const ClientReply&>(*msg);
-    if (reply.seq != seq_) return;
-    if (reply.code == StatusCode::kNotLeader) {
-      target_ = reply.leader_hint != kInvalidNode
-                    ? reply.leader_hint
-                    : (target_ + 1) % n_;
-      Send();
-      return;
-    }
-    current_.completed = env_->Now();
-    if (current_.is_read) current_.value = reply.value;
-    sink_->push_back(current_);
-    Issue();
-  }
-
- private:
-  void Issue() {
-    const bool read = env_->rng().NextBool(0.5);
-    std::string key = "hot" + std::to_string(env_->rng().NextBounded(2));
-    seq_++;
-    current_ = HistoryOp{};
-    current_.client = env_->self();
-    current_.is_read = read;
-    current_.key = key;
-    current_.invoked = env_->Now();
-    if (read) {
-      cmd_ = Command::Get(key, env_->self(), seq_);
-    } else {
-      current_.value = "c" + std::to_string(env_->self() - kFirstClientId) +
-                       "-" + std::to_string(seq_);
-      cmd_ = Command::Put(key, current_.value, env_->self(), seq_);
-    }
-    Send();
-  }
-
-  void Send() {
-    if (random_target_) {
-      target_ = static_cast<NodeId>(env_->rng().NextBounded(n_));
-    }
-    env_->Send(target_, std::make_shared<ClientRequest>(cmd_));
-  }
-
-  std::vector<HistoryOp>* sink_;
-  size_t n_;
-  bool random_target_;
-  NodeId target_ = 0;
-  uint64_t seq_ = 0;
-  Command cmd_;
-  HistoryOp current_;
-};
-
 enum class Proto { kPaxos, kPig, kEPaxos };
 
 std::vector<HistoryOp> RecordHistory(Proto proto, uint64_t seed) {
@@ -189,14 +124,23 @@ std::vector<HistoryOp> RecordHistory(Proto proto, uint64_t seed) {
       break;
     }
   }
-  std::vector<HistoryOp> history;
+  std::vector<HistoryClient*> clients;
   for (uint32_t c = 0; c < 6; ++c) {
-    cluster.AddClient(sim::Cluster::MakeClientId(c),
-                      std::make_unique<HistoryClient>(
-                          &history, kNodes, proto == Proto::kEPaxos));
+    HistoryClient::Config ccfg;
+    ccfg.num_replicas = kNodes;
+    ccfg.num_keys = 2;  // a tiny hot keyspace keeps clients conflicting
+    ccfg.index = c;
+    ccfg.leaderless = proto == Proto::kEPaxos;
+    auto client = std::make_unique<HistoryClient>(ccfg);
+    clients.push_back(client.get());
+    cluster.AddClient(sim::Cluster::MakeClientId(c), std::move(client));
   }
   cluster.Start();
   cluster.RunFor(3 * kSecond);
+  std::vector<HistoryOp> history;
+  for (const HistoryClient* c : clients) {
+    history.insert(history.end(), c->history.begin(), c->history.end());
+  }
   return history;
 }
 

@@ -111,6 +111,23 @@ TEST(ScenarioConfigTest, RoundTripIsByteIdentical) {
   }
 }
 
+TEST(ScenarioConfigTest, ControlCharactersInNamesRoundTrip) {
+  // The writer escapes control characters as \u00XX; the reader must
+  // accept exactly what the writer emits.
+  ScenarioSpec spec;
+  spec.name = std::string("cr\rhere\x01 \"quoted\" tab\t\\");
+  const std::string json = ScenarioToJson(spec);
+  Result<ScenarioSpec> parsed = ScenarioFromJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().name, spec.name);
+  EXPECT_EQ(ScenarioToJson(parsed.value()), json);
+
+  Result<ScenarioSpec> bmp =
+      ScenarioFromJson(R"({"name":"caf\u00e9 \u20ac","schedule":[]})");
+  ASSERT_TRUE(bmp.ok()) << bmp.status().ToString();
+  EXPECT_EQ(bmp.value().name, "caf\xc3\xa9 \xe2\x82\xac");
+}
+
 TEST(ScenarioConfigTest, MillisecondTimesParse) {
   Result<ScenarioSpec> r = ScenarioFromJson(
       R"({"name":"ms","schedule":[{"at_ms":1.5,"kind":"heal"}]})");
@@ -144,6 +161,10 @@ TEST(ScenarioConfigTest, RejectsMalformedInput) {
       R"({"schedule":[]} extra)",
       R"({"schedule":[)",
       R"({'schedule':[]})",
+      // Truncated, non-hex, and surrogate \u escapes.
+      R"({"name":"\u00","schedule":[]})",
+      R"({"name":"\u00zz","schedule":[]})",
+      R"({"name":"\ud800","schedule":[]})",
       "",
   };
   for (const char* json : bad) {

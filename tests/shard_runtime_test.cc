@@ -52,7 +52,7 @@ TEST_F(ShardRuntimeTest, ShardedPutGetOverThreads) {
     cluster.AddActor(i, MakeNode(i));
   }
   auto client = std::make_unique<runtime::SyncClient>(
-      kNodes, 200 * kMillisecond, kGroups);
+      kNodes, kGroups);
   runtime::SyncClient* kv = client.get();
   cluster.AddActor(kFirstClientId, std::move(client));
   cluster.Start();

@@ -17,6 +17,7 @@
 
 #include "common/rng.h"
 #include "harness/experiment.h"
+#include "harness/scenario.h"
 #include "sim/scheduler.h"
 
 namespace pig {
@@ -131,7 +132,8 @@ TEST(SchedulerTraceTest, MatchesReferenceImplementation) {
 /// sweep shape: 9 replicas, closed-loop clients, 50/50 r/w) must agree
 /// on every observable: commits, latency digests, message counts, event
 /// totals.
-harness::RunResult Fig7ShapedRun(size_t relay_groups, uint64_t seed) {
+harness::ExperimentConfig Fig7ShapedConfig(size_t relay_groups,
+                                           uint64_t seed) {
   harness::ExperimentConfig cfg;
   cfg.protocol = harness::Protocol::kPigPaxos;
   cfg.num_replicas = 9;
@@ -141,7 +143,39 @@ harness::RunResult Fig7ShapedRun(size_t relay_groups, uint64_t seed) {
   cfg.warmup = 100 * kMillisecond;
   cfg.measure = 300 * kMillisecond;
   cfg.seed = seed;
-  return harness::RunExperiment(cfg);
+  return cfg;
+}
+
+harness::RunResult Fig7ShapedRun(size_t relay_groups, uint64_t seed) {
+  return harness::RunExperiment(Fig7ShapedConfig(relay_groups, seed));
+}
+
+/// Two same-seed reports must agree on every observable, bit for bit:
+/// client counters, event totals, the timeline, latency digests,
+/// per-replica traffic/CPU, and the relay and batching-engine counters.
+void ExpectSameReport(const harness::RunResult& a,
+                      const harness::RunResult& b) {
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.timeouts, b.timeouts);
+  EXPECT_EQ(a.redirects, b.redirects);
+  EXPECT_EQ(a.stale_replies, b.stale_replies);
+  EXPECT_EQ(a.total_events, b.total_events);
+  EXPECT_EQ(a.timeline, b.timeline);
+  EXPECT_EQ(a.throughput, b.throughput);
+  EXPECT_EQ(a.mean_ms, b.mean_ms);
+  EXPECT_EQ(a.p50_ms, b.p50_ms);
+  EXPECT_EQ(a.p99_ms, b.p99_ms);
+  EXPECT_EQ(a.msgs_per_request, b.msgs_per_request);
+  EXPECT_EQ(a.cpu_utilization, b.cpu_utilization);
+  EXPECT_EQ(a.relay_timeouts, b.relay_timeouts);
+  EXPECT_EQ(a.relay_early_batches, b.relay_early_batches);
+  EXPECT_EQ(a.batches_proposed, b.batches_proposed);
+  EXPECT_EQ(a.batched_commands, b.batched_commands);
+  EXPECT_EQ(a.batch_timeout_flushes, b.batch_timeout_flushes);
+  EXPECT_EQ(a.pipeline_stalls, b.pipeline_stalls);
+  EXPECT_EQ(a.uplink_bundles, b.uplink_bundles);
+  EXPECT_EQ(a.uplink_coalesced, b.uplink_coalesced);
+  EXPECT_EQ(a.mean_batch_size, b.mean_batch_size);
 }
 
 TEST(SimDeterminismTest, SameSeedFig7RunsAreIdentical) {
@@ -149,20 +183,7 @@ TEST(SimDeterminismTest, SameSeedFig7RunsAreIdentical) {
     harness::RunResult a = Fig7ShapedRun(groups, 42);
     harness::RunResult b = Fig7ShapedRun(groups, 42);
     EXPECT_GT(a.completed, 0u);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.timeouts, b.timeouts);
-    EXPECT_EQ(a.redirects, b.redirects);
-    EXPECT_EQ(a.total_events, b.total_events);
-    EXPECT_EQ(a.timeline, b.timeline);
-    // Latency digests and per-replica traffic/CPU must match bit-for-bit.
-    EXPECT_EQ(a.throughput, b.throughput);
-    EXPECT_EQ(a.mean_ms, b.mean_ms);
-    EXPECT_EQ(a.p50_ms, b.p50_ms);
-    EXPECT_EQ(a.p99_ms, b.p99_ms);
-    EXPECT_EQ(a.msgs_per_request, b.msgs_per_request);
-    EXPECT_EQ(a.cpu_utilization, b.cpu_utilization);
-    EXPECT_EQ(a.relay_timeouts, b.relay_timeouts);
-    EXPECT_EQ(a.relay_early_batches, b.relay_early_batches);
+    ExpectSameReport(a, b);
   }
 }
 
@@ -177,15 +198,7 @@ TEST(SimDeterminismTest, DifferentSeedsDiverge) {
 /// deterministic as the legacy path — two same-seed runs agree on every
 /// report field, byte for byte.
 harness::RunResult BatchedFig7Run(uint64_t seed) {
-  harness::ExperimentConfig cfg;
-  cfg.protocol = harness::Protocol::kPigPaxos;
-  cfg.num_replicas = 9;
-  cfg.relay_groups = 3;
-  cfg.num_clients = 8;
-  cfg.workload.read_ratio = 0.5;
-  cfg.warmup = 100 * kMillisecond;
-  cfg.measure = 300 * kMillisecond;
-  cfg.seed = seed;
+  harness::ExperimentConfig cfg = Fig7ShapedConfig(3, seed);
   cfg.batch_size = 4;
   cfg.pipeline_depth = 4;
   cfg.uplink_coalesce_max = 2;
@@ -197,28 +210,7 @@ TEST(SimDeterminismTest, SameSeedBatchedPipelinedRunsAreIdentical) {
   harness::RunResult b = BatchedFig7Run(42);
   EXPECT_GT(a.completed, 0u);
   EXPECT_GT(a.batches_proposed, 0u) << "batching engine never engaged";
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  EXPECT_EQ(a.redirects, b.redirects);
-  EXPECT_EQ(a.total_events, b.total_events);
-  EXPECT_EQ(a.timeline, b.timeline);
-  EXPECT_EQ(a.throughput, b.throughput);
-  EXPECT_EQ(a.mean_ms, b.mean_ms);
-  EXPECT_EQ(a.p50_ms, b.p50_ms);
-  EXPECT_EQ(a.p99_ms, b.p99_ms);
-  EXPECT_EQ(a.msgs_per_request, b.msgs_per_request);
-  EXPECT_EQ(a.cpu_utilization, b.cpu_utilization);
-  EXPECT_EQ(a.relay_timeouts, b.relay_timeouts);
-  EXPECT_EQ(a.relay_early_batches, b.relay_early_batches);
-  // Engine-specific counters are part of the report contract too.
-  EXPECT_EQ(a.batches_proposed, b.batches_proposed);
-  EXPECT_EQ(a.batched_commands, b.batched_commands);
-  EXPECT_EQ(a.batch_timeout_flushes, b.batch_timeout_flushes);
-  EXPECT_EQ(a.pipeline_stalls, b.pipeline_stalls);
-  EXPECT_EQ(a.uplink_bundles, b.uplink_bundles);
-  EXPECT_EQ(a.uplink_coalesced, b.uplink_coalesced);
-  EXPECT_EQ(a.mean_batch_size, b.mean_batch_size);
-  EXPECT_EQ(a.stale_replies, b.stale_replies);
+  ExpectSameReport(a, b);
 }
 
 /// Stress shape for the PR 4 message layer: multi-layer relay trees
@@ -251,22 +243,7 @@ TEST(SimDeterminismTest, SameSeedMessageLayerStressRunsAreIdentical) {
   EXPECT_GT(a.completed, 0u);
   EXPECT_GT(a.relay_early_batches, 0u)
       << "threshold partial batches never engaged";
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  EXPECT_EQ(a.redirects, b.redirects);
-  EXPECT_EQ(a.total_events, b.total_events);
-  EXPECT_EQ(a.timeline, b.timeline);
-  EXPECT_EQ(a.throughput, b.throughput);
-  EXPECT_EQ(a.mean_ms, b.mean_ms);
-  EXPECT_EQ(a.p50_ms, b.p50_ms);
-  EXPECT_EQ(a.p99_ms, b.p99_ms);
-  EXPECT_EQ(a.msgs_per_request, b.msgs_per_request);
-  EXPECT_EQ(a.cpu_utilization, b.cpu_utilization);
-  EXPECT_EQ(a.relay_timeouts, b.relay_timeouts);
-  EXPECT_EQ(a.relay_early_batches, b.relay_early_batches);
-  EXPECT_EQ(a.uplink_bundles, b.uplink_bundles);
-  EXPECT_EQ(a.uplink_coalesced, b.uplink_coalesced);
-  EXPECT_EQ(a.mean_batch_size, b.mean_batch_size);
+  ExpectSameReport(a, b);
 }
 
 /// The engine at batch=1/depth=1 is *off*: a default-options run and an
@@ -274,29 +251,69 @@ TEST(SimDeterminismTest, SameSeedMessageLayerStressRunsAreIdentical) {
 /// legacy proposal path is untouched).
 TEST(SimDeterminismTest, DisabledEngineMatchesLegacyPathExactly) {
   harness::RunResult legacy = Fig7ShapedRun(3, 42);
-  harness::ExperimentConfig cfg;
-  cfg.protocol = harness::Protocol::kPigPaxos;
-  cfg.num_replicas = 9;
-  cfg.relay_groups = 3;
-  cfg.num_clients = 8;
-  cfg.workload.read_ratio = 0.5;
-  cfg.warmup = 100 * kMillisecond;
-  cfg.measure = 300 * kMillisecond;
-  cfg.seed = 42;
+  harness::ExperimentConfig cfg = Fig7ShapedConfig(3, 42);
   cfg.batch_size = 1;
   cfg.pipeline_depth = 1;
   cfg.uplink_coalesce_max = 1;
   harness::RunResult off = harness::RunExperiment(cfg);
-  EXPECT_EQ(legacy.completed, off.completed);
-  EXPECT_EQ(legacy.total_events, off.total_events);
-  EXPECT_EQ(legacy.timeline, off.timeline);
-  EXPECT_EQ(legacy.throughput, off.throughput);
-  EXPECT_EQ(legacy.mean_ms, off.mean_ms);
-  EXPECT_EQ(legacy.msgs_per_request, off.msgs_per_request);
-  EXPECT_EQ(legacy.cpu_utilization, off.cpu_utilization);
+  ExpectSameReport(legacy, off);
   EXPECT_EQ(off.batches_proposed, 0u);
   EXPECT_EQ(off.uplink_bundles, 0u);
   EXPECT_EQ(off.mean_batch_size, 1.0);
+}
+
+/// Client-visible counters pinned across commits. Each value was measured
+/// once and must never move under refactoring: a change means the client
+/// retry/redirect loop (client/session.h), the simulator, or a protocol
+/// changed observable behavior. Re-pin only for a deliberate, documented
+/// behavior change.
+void ExpectPinned(const harness::RunResult& r, uint64_t completed,
+                  uint64_t timeouts, uint64_t redirects,
+                  uint64_t stale_replies, uint64_t total_events) {
+  EXPECT_EQ(r.completed, completed);
+  EXPECT_EQ(r.timeouts, timeouts);
+  EXPECT_EQ(r.redirects, redirects);
+  EXPECT_EQ(r.stale_replies, stale_replies);
+  EXPECT_EQ(r.total_events, total_events);
+}
+
+harness::ExperimentConfig PinnedConfig(harness::Protocol protocol) {
+  harness::ExperimentConfig cfg;
+  cfg.protocol = protocol;
+  cfg.num_replicas = 5;
+  cfg.relay_groups = 2;
+  cfg.num_clients = 8;
+  cfg.warmup = 200 * kMillisecond;
+  cfg.measure = 1800 * kMillisecond;
+  cfg.seed = 7;
+  return cfg;
+}
+
+TEST(SimDeterminismGoldenTest, PaxosLeaderCrashClientCounters) {
+  harness::ScenarioSpec spec;
+  spec.schedule = {harness::CrashEvent(500 * kMillisecond, 0),
+                   harness::RecoverEvent(1200 * kMillisecond, 0)};
+  const harness::RunResult r =
+      harness::RunScenario(spec, PinnedConfig(harness::Protocol::kPaxos));
+  EXPECT_GT(r.timeouts, 0u);
+  EXPECT_GT(r.redirects, 0u);
+  ExpectPinned(r, 6988, 8, 8, 0, 182875);
+}
+
+TEST(SimDeterminismGoldenTest, ShardedCrashGroupLeaderClientCounters) {
+  harness::ExperimentConfig cfg = PinnedConfig(harness::Protocol::kPigPaxos);
+  cfg.num_groups = 4;
+  harness::ScenarioSpec spec;
+  spec.schedule = {harness::CrashGroupLeaderEvent(500 * kMillisecond, 1)};
+  const harness::RunResult r = harness::RunScenario(spec, cfg);
+  EXPECT_GT(r.timeouts, 0u);
+  ExpectPinned(r, 6183, 8, 8, 1, 157601);
+}
+
+TEST(SimDeterminismGoldenTest, EPaxosClientCounters) {
+  const harness::RunResult r =
+      harness::RunExperiment(PinnedConfig(harness::Protocol::kEPaxos));
+  ExpectPinned(r, 3380, 0, 0, 0, 106718);
 }
 
 }  // namespace
