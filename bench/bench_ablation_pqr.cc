@@ -4,6 +4,10 @@
 // Expectation: PQR answers reads from a majority of followers without
 // the leader, so read-heavy workloads scale past the leader's ceiling
 // and read latency drops below the consensus round trip.
+//
+// Writes follow NotLeader redirects through the shared client session:
+// a write bounced during the bootstrap election is retried, not counted
+// as completed.
 #include <cstdio>
 #include <memory>
 #include <string>

@@ -153,8 +153,8 @@ class JsonParser {
     return Error("unterminated string");
   }
 
-  /// The XXXX of a "\uXXXX" escape (JsonEscape's form for control
-  /// characters), appended as UTF-8. Surrogate pairs are unsupported.
+  /// The XXXX of a "\uXXXX" escape: JsonEscape's form for control
+  /// characters. Only ASCII code points are accepted.
   Status ParseUnicodeEscape(std::string& out) {
     const std::string hex = text_.substr(pos_, 4);
     if (hex.size() != 4 || !std::all_of(hex.begin(), hex.end(), [](char h) {
@@ -162,22 +162,11 @@ class JsonParser {
         })) {
       return Error("malformed \\u escape");
     }
-    pos_ += 4;
     const auto code =
         static_cast<unsigned>(std::strtoul(hex.c_str(), nullptr, 16));
-    if (code >= 0xd800 && code <= 0xdfff) {
-      return Error("unsupported surrogate in \\u escape");
-    }
-    if (code < 0x80) {
-      out += static_cast<char>(code);
-    } else if (code < 0x800) {
-      out += static_cast<char>(0xc0 | (code >> 6));
-      out += static_cast<char>(0x80 | (code & 0x3f));
-    } else {
-      out += static_cast<char>(0xe0 | (code >> 12));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-      out += static_cast<char>(0x80 | (code & 0x3f));
-    }
+    if (code >= 0x80) return Error("malformed \\u escape");
+    pos_ += 4;
+    out += static_cast<char>(code);
     return Status::Ok();
   }
 

@@ -152,7 +152,8 @@ std::vector<HistoryClient*> AddClients(sim::Cluster& cluster,
     ccfg.read_ratio = cfg.read_ratio;
     ccfg.index = i;
     ccfg.num_groups = cfg.num_groups;
-    ccfg.leaderless = cfg.use_epaxos;
+    ccfg.targeting = cfg.use_epaxos ? HistoryClient::Targeting::kFixedSpread
+                                    : HistoryClient::Targeting::kLeader;
     auto owner = std::make_unique<HistoryClient>(ccfg);
     clients.push_back(owner.get());
     cluster.AddClient(sim::Cluster::MakeClientId(i), std::move(owner));

@@ -222,7 +222,7 @@ std::vector<ConformanceConfig> BuildMatrix() {
   // without retries; the one-way row needs the retransmission knobs or
   // a lost PreAccept/ECommit wedges execution at whoever missed it.
   // Row contract: client i sends to replica i % N until that replica
-  // goes silent (HistoryClient::Config::leaderless). Random per-send
+  // goes silent (HistoryClient::Targeting::kFixedSpread). Random per-send
   // targets are out of contract: under one-way partitions they make
   // stores diverge (EPaxosOneWayPartitionSeed1000: "stores diverged at
   // replica 1"), a symptom of the missing explicit-prepare recovery.

@@ -20,25 +20,38 @@ class HistoryClient : public Actor {
  public:
   static constexpr TimeNs kRequestTimeout = 250 * kMillisecond;
 
+  /// Where requests go.
+  enum class Targeting {
+    /// Follow the (per-group) leader: Paxos and PigPaxos.
+    kLeader,
+    /// EPaxos under faults: client i starts at replica i % N and moves on
+    /// only when that replica goes silent. Random per-send targets make
+    /// EPaxos stores diverge under one-way partitions, because EPaxos has
+    /// no explicit-prepare recovery.
+    kFixedSpread,
+    /// EPaxos without faults: a random replica per send, so consecutive
+    /// operations of one client start at different command leaders.
+    kRandomPerSend,
+  };
+
   struct Config {
     size_t num_replicas = 0;
     size_t num_keys = 8;
     double read_ratio = 0.5;
     uint32_t index = 0;
     uint32_t num_groups = 1;
-    /// Leaderless protocol (EPaxos): client i starts at replica i % N
-    /// instead of converging on one leader, and moves on only when that
-    /// replica goes silent. The spread is fixed per client on purpose:
-    /// random per-send targets make EPaxos stores diverge under one-way
-    /// partitions, because EPaxos has no explicit-prepare recovery.
-    bool leaderless = false;
+    Targeting targeting = Targeting::kLeader;
   };
 
   explicit HistoryClient(Config cfg)
-      : cfg_(cfg), session_(cfg.num_replicas, cfg.num_groups) {}
+      : cfg_(cfg),
+        session_(cfg.num_replicas, cfg.num_groups,
+                 cfg.targeting == Targeting::kRandomPerSend
+                     ? client::TargetPolicy::kRandomReplica
+                     : client::TargetPolicy::kFixedLeader) {}
 
   void OnStart() override {
-    if (cfg_.leaderless) {
+    if (cfg_.targeting == Targeting::kFixedSpread) {
       session_.Retarget(static_cast<NodeId>(cfg_.index % cfg_.num_replicas));
     }
     env_->SetTimer(

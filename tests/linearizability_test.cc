@@ -130,7 +130,9 @@ std::vector<HistoryOp> RecordHistory(Proto proto, uint64_t seed) {
     ccfg.num_replicas = kNodes;
     ccfg.num_keys = 2;  // a tiny hot keyspace keeps clients conflicting
     ccfg.index = c;
-    ccfg.leaderless = proto == Proto::kEPaxos;
+    ccfg.targeting = proto == Proto::kEPaxos
+                         ? HistoryClient::Targeting::kRandomPerSend
+                         : HistoryClient::Targeting::kLeader;
     auto client = std::make_unique<HistoryClient>(ccfg);
     clients.push_back(client.get());
     cluster.AddClient(sim::Cluster::MakeClientId(c), std::move(client));
