@@ -1,33 +1,12 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
+#include <cstdlib>
 
-#include "common/logging.h"
 #include "shard/sharded_node.h"
 
 namespace pig::harness {
-
-std::string ProtocolName(Protocol p) {
-  switch (p) {
-    case Protocol::kPaxos:
-      return "Paxos";
-    case Protocol::kPigPaxos:
-      return "PigPaxos";
-    case Protocol::kEPaxos:
-      return "EPaxos";
-    case Protocol::kRing:
-      return "Ring";
-  }
-  return "?";
-}
-
-int WanRegionOfNode(NodeId node, size_t num_replicas) {
-  const size_t per_region = (num_replicas + 2) / 3;
-  size_t region = node / per_region;
-  return static_cast<int>(std::min<size_t>(region, 2));
-}
 
 namespace {
 
@@ -42,37 +21,17 @@ std::shared_ptr<net::RegionalLatency> BuildWanTopology(
   return topo;
 }
 
-paxos::PaxosOptions MakePaxosOptions(const ExperimentConfig& config) {
-  paxos::PaxosOptions opt;
-  opt.num_replicas = config.num_replicas;
-  if (config.flexible_q1 > 0 && config.flexible_q2 > 0) {
-    opt.quorum = std::make_shared<pig::FlexibleQuorum>(
-        config.num_replicas, config.flexible_q1, config.flexible_q2);
-  }
-  opt.batch_size = config.batch_size;
-  opt.batch_timeout = config.batch_timeout;
-  opt.pipeline_depth = config.pipeline_depth;
-  return opt;
-}
-
 }  // namespace
 
 RunResult RunExperiment(const ExperimentConfig& config) {
-  assert(config.num_replicas >= 1);
   const size_t num_groups = std::max<size_t>(1, config.num_groups);
-  // Sharding multiplexes leader-based groups; EPaxos/Ring have their own
-  // scaling story and stay single-group.
-  assert(num_groups == 1 || config.protocol == Protocol::kPaxos ||
-         config.protocol == Protocol::kPigPaxos);
 
   sim::ClusterOptions copt;
   copt.seed = config.seed;
   copt.replica_cpu = config.replica_cpu;
   copt.network.drop_probability = config.drop_probability;
-  std::shared_ptr<net::RegionalLatency> wan;
   if (config.topology == Topology::kWanVaCaOr) {
-    wan = BuildWanTopology(config);
-    copt.network.latency = wan;
+    copt.network.latency = BuildWanTopology(config);
   }
   // A scenario-supplied model (e.g. WAN wrapped in a gray-slowdown
   // decorator) wins over the plain topology default.
@@ -80,71 +39,14 @@ RunResult RunExperiment(const ExperimentConfig& config) {
 
   sim::Cluster cluster(copt);
 
-  // --- Replicas ---------------------------------------------------------
-  // Builds one consensus-group replica. Group g bootstraps its leader on
-  // node g % N (leader spreading); group 0 keeps the historical node-0
-  // bootstrap, so single-group runs are unchanged.
-  auto make_group_replica = [&config](NodeId id, uint32_t group)
-      -> std::unique_ptr<pig::Actor> {
-    paxos::PaxosOptions base = MakePaxosOptions(config);
-    base.bootstrap_leader =
-        static_cast<NodeId>(group % config.num_replicas);
-    if (config.protocol == Protocol::kPaxos) {
-      return std::make_unique<paxos::PaxosReplica>(id, base);
-    }
-    pigpaxos::PigPaxosOptions popt;
-    popt.paxos = base;
-    popt.num_relay_groups = config.relay_groups;
-    popt.group_overlap = config.group_overlap;
-    popt.relay_timeout = config.relay_timeout;
-    popt.group_response_threshold = config.group_response_threshold;
-    popt.relay_layers = config.relay_layers;
-    popt.reshuffle_interval = config.reshuffle_interval;
-    popt.uplink_coalesce_max = config.uplink_coalesce_max;
-    popt.uplink_flush_delay = config.uplink_flush_delay;
-    if (config.topology == Topology::kWanVaCaOr && config.region_grouping) {
-      // One relay group per region (§6.4).
-      popt.grouping = pigpaxos::GroupingStrategy::kRegion;
-      const size_t n = config.num_replicas;
-      popt.region_of = [n](NodeId node) {
-        return WanRegionOfNode(node, n);
-      };
-    }
-    return std::make_unique<pigpaxos::PigPaxosReplica>(id, popt);
-  };
-
   for (NodeId id = 0; id < config.num_replicas; ++id) {
-    if (num_groups > 1) {
-      auto node = std::make_unique<shard::ShardedNode>(num_groups);
-      for (uint32_t g = 0; g < num_groups; ++g) {
-        node->AddGroup(make_group_replica(id, g));
-      }
-      cluster.AddReplica(id, std::move(node));
-      continue;
+    Result<std::unique_ptr<Actor>> node = BuildNode(config, id);
+    if (!node.ok()) {
+      std::fprintf(stderr, "RunExperiment: %s\n",
+                   node.status().ToString().c_str());
+      std::abort();
     }
-    switch (config.protocol) {
-      case Protocol::kPaxos:
-      case Protocol::kPigPaxos: {
-        cluster.AddReplica(id, make_group_replica(id, 0));
-        break;
-      }
-      case Protocol::kEPaxos: {
-        epaxos::EPaxosOptions eopt;
-        eopt.num_replicas = config.num_replicas;
-        cluster.AddReplica(
-            id, std::make_unique<epaxos::EPaxosReplica>(id, eopt));
-        break;
-      }
-      case Protocol::kRing: {
-        baselines::RingOptions ropt;
-        ropt.paxos = MakePaxosOptions(config);
-        ropt.ring_ack_timeout = config.ring_ack_timeout;
-        ropt.fallback_duration = config.ring_fallback_duration;
-        cluster.AddReplica(
-            id, std::make_unique<baselines::RingReplica>(id, ropt));
-        break;
-      }
-    }
+    cluster.AddReplica(id, node.MoveValue());
   }
 
   // --- Clients ------------------------------------------------------------

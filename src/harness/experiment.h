@@ -12,36 +12,23 @@
 
 #include "baselines/ring_replica.h"
 #include "client/closed_loop_client.h"
+#include "epaxos/replica.h"
+#include "harness/node_builder.h"
 #include "net/latency.h"
 #include "paxos/replica.h"
 #include "pigpaxos/replica.h"
-#include "epaxos/replica.h"
 #include "sim/cluster.h"
 
 namespace pig::harness {
 
 using pig::TimeNs;
 
-enum class Protocol { kPaxos, kPigPaxos, kEPaxos, kRing };
-
-std::string ProtocolName(Protocol p);
-
-enum class Topology { kLan, kWanVaCaOr };
-
-struct ExperimentConfig {
-  Protocol protocol = Protocol::kPaxos;
-  size_t num_replicas = 5;
+/// One simulated run: the replicas' protocol knobs (ReplicaConfig, built
+/// into nodes by BuildNode) plus the clients, environment and
+/// measurement window around them.
+struct ExperimentConfig : ReplicaConfig {
   size_t num_clients = 20;
   client::WorkloadConfig workload;
-
-  // --- Sharding ---------------------------------------------------------
-  /// Independent consensus groups hash-partitioning the keyspace
-  /// (shard/). 1 = classic single-group run, byte-identical to the
-  /// pre-sharding harness. With > 1, every node hosts one replica per
-  /// group (shard::ShardedNode) and group g bootstraps its leader on
-  /// node g % num_replicas so leader load spreads across the cluster.
-  /// Only Paxos and PigPaxos support sharded runs.
-  size_t num_groups = 1;
 
   /// Pin client i's whole workload to group i % num_groups (sharded
   /// runs only). Isolation experiments use this: closed-loop clients
@@ -49,38 +36,7 @@ struct ExperimentConfig {
   /// which would mask the per-group independence being measured.
   bool shard_affine_clients = false;
 
-  // --- Batching + pipelining (Paxos and PigPaxos; off by default) -------
-  size_t batch_size = 1;          ///< Commands per log slot (1 = off).
-  TimeNs batch_timeout = 200 * kMicrosecond;  ///< Partial-batch flush.
-  size_t pipeline_depth = 1;      ///< Uncommitted slots in flight.
-
-  // --- PigPaxos-specific ------------------------------------------------
-  size_t relay_groups = 2;
-  size_t group_overlap = 0;             ///< §3.3 overlapping groups.
-  /// On Topology::kWanVaCaOr, group relays by region (§6.4) — which
-  /// ignores `relay_groups` and makes one group per region. false keeps
-  /// contiguous id grouping, letting sweeps compare region-aligned vs
-  /// region-oblivious relay trees on the same WAN.
-  bool region_grouping = true;
-  TimeNs relay_timeout = 50 * kMillisecond;
-  size_t group_response_threshold = 0;  ///< §4.2 partial responses.
-  uint32_t relay_layers = 1;            ///< §6.3 multi-layer trees.
-  TimeNs reshuffle_interval = 0;        ///< §4.1 dynamic regrouping.
-  size_t uplink_coalesce_max = 1;       ///< Relay uplink bundling (1=off).
-  TimeNs uplink_flush_delay = 100 * kMicrosecond;
-
-  /// Flexible quorum sizes (0 = classic majority). Applies to Paxos and
-  /// PigPaxos (§2.2).
-  size_t flexible_q1 = 0;
-  size_t flexible_q2 = 0;
-
-  // --- Ring-baseline-specific -------------------------------------------
-  TimeNs ring_ack_timeout = 0;          ///< 0 = derived (see RingOptions).
-  TimeNs ring_fallback_duration = 1 * kSecond;
-
   // --- Environment -------------------------------------------------------
-  Topology topology = Topology::kLan;
-
   /// When set, used as the network latency model instead of the one the
   /// `topology` field implies. The topology field keeps steering
   /// region-aware behavior (relay grouping, client placement), so a
@@ -158,6 +114,8 @@ struct RunResult {
 };
 
 /// Builds the cluster, runs warmup + measurement, and collects results.
+/// A configuration BuildNode rejects (e.g. a sharded Ring run) aborts
+/// with the builder's message instead of running some other protocol.
 RunResult RunExperiment(const ExperimentConfig& config);
 
 /// One point of a latency/throughput curve.
@@ -183,11 +141,5 @@ double MaxThroughput(ExperimentConfig config, size_t start_clients = 32,
 /// Formats a latency/throughput table for console output.
 std::string FormatSweep(const std::string& title,
                         const std::vector<LoadPoint>& points);
-
-/// Region assignment used for Topology::kWanVaCaOr: contiguous blocks of
-/// ~N/3 nodes per region; node 0 (the bootstrap leader) is in Virginia.
-/// Shared by the experiment runner, the scenario engine, and the
-/// conformance harness so every layer agrees on the WAN layout.
-int WanRegionOfNode(NodeId node, size_t num_replicas);
 
 }  // namespace pig::harness

@@ -17,25 +17,25 @@
 // (storage/file_storage.h), and a kill -9'd process restarted with the
 // same --data-dir recovers its committed prefix from disk before
 // rejoining — peers only supply the delta via LogSync.
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/logging.h"
 #include "epaxos/messages.h"
+#include "harness/node_builder.h"
 #include "harness/scenario_config.h"
-#include "epaxos/replica.h"
-#include "paxos/replica.h"
 #include "pigpaxos/messages.h"
-#include "pigpaxos/replica.h"
 #include "runtime/tcp_cluster.h"
 #include "runtime/thread_cluster.h"
 #include "shard/messages.h"
-#include "shard/sharded_node.h"
 #include "storage/file_storage.h"
 
 namespace {
@@ -47,10 +47,15 @@ struct Args {
   pig::NodeId node_id = pig::kInvalidNode;
   bool client = false;
   std::vector<std::pair<std::string, uint16_t>> peers;
-  std::string protocol = "pigpaxos";
-  uint32_t relay_groups = 3;
-  /// Consensus groups sharding the keyspace (shard/); 1 = unsharded.
-  uint32_t num_groups = 1;
+  /// Replica knobs; num_groups (1 = unsharded) also steers the client.
+  pig::harness::ReplicaConfig replica = [] {
+    pig::harness::ReplicaConfig cfg;
+    cfg.protocol = pig::harness::Protocol::kPigPaxos;
+    cfg.relay_groups = 3;
+    // Executed slots between durable snapshots when --data-dir is set.
+    cfg.snapshot_interval = 4096;
+    return cfg;
+  }();
   int ops = 100;
   /// Client-only: pause between commands. Fault-injection runs use this
   /// to stretch the workload across a scripted kill/restart window.
@@ -64,9 +69,38 @@ struct Args {
   /// simulator harness and the conformance matrix, and a node that
   /// rejects it fails fast before any process in the pack launches.
   std::string scenario_file;
-  /// Executed slots between durable snapshots when --data-dir is set.
-  size_t snapshot_interval = 4096;
 };
+
+/// Parses a whole decimal string into [min, max]; false on anything
+/// else (empty, sign, trailing characters, overflow).
+template <typename T>
+bool ParseNumber(std::string_view text, T min, T max, T* out) {
+  uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < static_cast<uint64_t>(min) ||
+      v > static_cast<uint64_t>(max)) {
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
+}
+
+/// --protocol values (the TCP runtime has no ring baseline).
+bool ParseProtocol(std::string_view name, pig::harness::Protocol* out) {
+  using pig::harness::Protocol;
+  static const std::pair<std::string_view, Protocol> kNames[] = {
+      {"paxos", Protocol::kPaxos},
+      {"pigpaxos", Protocol::kPigPaxos},
+      {"epaxos", Protocol::kEPaxos}};
+  for (const auto& [known, protocol] : kNames) {
+    if (name == known) {
+      *out = protocol;
+      return true;
+    }
+  }
+  return false;
+}
 
 bool ParsePeers(const std::string& csv, Args* args) {
   size_t start = 0;
@@ -75,54 +109,65 @@ bool ParsePeers(const std::string& csv, Args* args) {
     if (comma == std::string::npos) comma = csv.size();
     const std::string entry = csv.substr(start, comma - start);
     const size_t colon = entry.rfind(':');
-    if (colon == std::string::npos) return false;
-    args->peers.emplace_back(
-        entry.substr(0, colon),
-        static_cast<uint16_t>(std::atoi(entry.c_str() + colon + 1)));
+    uint16_t port = 0;
+    if (colon == std::string::npos ||
+        !ParseNumber<uint16_t>(std::string_view(entry).substr(colon + 1), 1,
+                               65535, &port)) {
+      return false;
+    }
+    args->peers.emplace_back(entry.substr(0, colon), port);
     start = comma + 1;
   }
   return !args->peers.empty();
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
+  constexpr int kIntMax = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&arg](const char* flag) -> const char* {
       const size_t n = std::strlen(flag);
       return arg.compare(0, n, flag) == 0 ? arg.c_str() + n : nullptr;
     };
+    bool ok = true;
     if (const char* v = value("--node-id=")) {
-      args->node_id = static_cast<pig::NodeId>(std::atoi(v));
+      ok = ParseNumber<pig::NodeId>(v, 0, pig::kInvalidNode - 1,
+                                    &args->node_id);
     } else if (arg == "--client") {
       args->client = true;
     } else if (const char* p = value("--peers=")) {
-      if (!ParsePeers(p, args)) return false;
+      ok = ParsePeers(p, args);
     } else if (const char* v2 = value("--protocol=")) {
-      args->protocol = v2;
+      ok = ParseProtocol(v2, &args->replica.protocol);
     } else if (const char* v3 = value("--relay-groups=")) {
-      args->relay_groups = static_cast<uint32_t>(std::atoi(v3));
+      ok = ParseNumber<size_t>(v3, 1, 1u << 16, &args->replica.relay_groups);
     } else if (const char* vg = value("--num-groups=")) {
-      args->num_groups = static_cast<uint32_t>(std::atoi(vg));
-      if (args->num_groups == 0) return false;
+      ok = ParseNumber<size_t>(vg, 1, 1u << 16, &args->replica.num_groups);
     } else if (const char* v4 = value("--ops=")) {
-      args->ops = std::atoi(v4);
+      ok = ParseNumber<int>(v4, 0, kIntMax, &args->ops);
     } else if (const char* vd = value("--op-delay-ms=")) {
-      args->op_delay_ms = std::atoi(vd);
+      ok = ParseNumber<int>(vd, 0, kIntMax, &args->op_delay_ms);
     } else if (const char* v5 = value("--seed=")) {
-      args->seed = static_cast<uint64_t>(std::atoll(v5));
+      ok = ParseNumber<uint64_t>(v5, 0, UINT64_MAX, &args->seed);
     } else if (const char* vdd = value("--data-dir=")) {
       args->data_dir = vdd;
     } else if (const char* vsi = value("--snapshot-interval=")) {
-      args->snapshot_interval = static_cast<size_t>(std::atoll(vsi));
+      ok = ParseNumber<size_t>(vsi, 0, SIZE_MAX,
+                               &args->replica.snapshot_interval);
     } else if (const char* vsc = value("--scenario=")) {
       args->scenario_file = vsc;
     } else {
       std::fprintf(stderr, "pig_node: unknown flag %s\n", arg.c_str());
       return false;
     }
+    if (!ok) {
+      std::fprintf(stderr, "pig_node: bad value in %s\n", arg.c_str());
+      return false;
+    }
   }
   if (args->peers.empty()) return false;
   if (!args->client && args->node_id >= args->peers.size()) return false;
+  args->replica.num_replicas = args->peers.size();
   return true;
 }
 
@@ -132,88 +177,27 @@ bool ParseArgs(int argc, char** argv, Args* args) {
 using StorageList =
     std::vector<std::unique_ptr<pig::storage::FileStorage>>;
 
-/// Opens PATH/group-<g> for one consensus group; nullptr (with the
-/// `opened` flag false) on failure, nullptr (flag true) when running
-/// memory-only.
-pig::storage::Storage* OpenGroupStorage(const Args& args, uint32_t group,
-                                        StorageList* owned, bool* opened) {
-  *opened = true;
-  if (args.data_dir.empty()) return nullptr;
-  const std::string dir =
-      args.data_dir + "/group-" + std::to_string(group);
-  auto fsb = std::make_unique<pig::storage::FileStorage>(dir);
-  if (!fsb->ok()) {
-    std::fprintf(stderr, "pig_node: cannot open data dir %s: %s\n",
-                 dir.c_str(), fsb->open_error().ToString().c_str());
-    *opened = false;
-    return nullptr;
+/// Builds this process's node. With --data-dir each consensus group
+/// opens PATH/group-<g>; `owned` keeps those stores alive.
+pig::Result<std::unique_ptr<pig::Actor>> MakeReplica(const Args& args,
+                                                     StorageList* owned) {
+  pig::harness::GroupStorage group_storage;
+  if (!args.data_dir.empty()) {
+    group_storage = [&args, owned](uint32_t group)
+        -> pig::Result<pig::storage::Storage*> {
+      const std::string dir =
+          args.data_dir + "/group-" + std::to_string(group);
+      auto fsb = std::make_unique<pig::storage::FileStorage>(dir);
+      if (!fsb->ok()) {
+        return pig::Status::Unavailable("cannot open data dir " + dir +
+                                        ": " +
+                                        fsb->open_error().ToString());
+      }
+      owned->push_back(std::move(fsb));
+      return owned->back().get();
+    };
   }
-  owned->push_back(std::move(fsb));
-  return owned->back().get();
-}
-
-std::unique_ptr<pig::Actor> MakeGroupReplica(const Args& args,
-                                             uint32_t group,
-                                             pig::storage::Storage* storage) {
-  const size_t n = args.peers.size();
-  // Leader spreading: group g bootstraps its leader on node g % n, the
-  // same placement policy as the simulator harness (and the one a cold
-  // sharded SyncClient assumes).
-  const pig::NodeId bootstrap = static_cast<pig::NodeId>(group % n);
-  if (args.protocol == "paxos") {
-    pig::paxos::PaxosOptions opt;
-    opt.num_replicas = n;
-    opt.bootstrap_leader = bootstrap;
-    opt.storage = storage;
-    opt.snapshot_interval = storage != nullptr ? args.snapshot_interval : 0;
-    return std::make_unique<pig::paxos::PaxosReplica>(args.node_id, opt);
-  }
-  if (args.protocol == "pigpaxos") {
-    pig::pigpaxos::PigPaxosOptions opt;
-    opt.paxos.num_replicas = n;
-    opt.paxos.bootstrap_leader = bootstrap;
-    opt.paxos.storage = storage;
-    opt.paxos.snapshot_interval =
-        storage != nullptr ? args.snapshot_interval : 0;
-    opt.num_relay_groups = args.relay_groups;
-    return std::make_unique<pig::pigpaxos::PigPaxosReplica>(args.node_id,
-                                                            opt);
-  }
-  if (args.protocol == "epaxos") {
-    if (storage != nullptr) {
-      std::fprintf(stderr,
-                   "pig_node: --data-dir is not supported for epaxos\n");
-      return nullptr;
-    }
-    pig::epaxos::EPaxosOptions opt;
-    opt.num_replicas = n;
-    return std::make_unique<pig::epaxos::EPaxosReplica>(args.node_id, opt);
-  }
-  return nullptr;
-}
-
-std::unique_ptr<pig::Actor> MakeReplica(const Args& args,
-                                        StorageList* storages) {
-  bool opened = true;
-  if (args.num_groups <= 1) {
-    pig::storage::Storage* s =
-        OpenGroupStorage(args, 0, storages, &opened);
-    return opened ? MakeGroupReplica(args, 0, s) : nullptr;
-  }
-  if (args.protocol == "epaxos") {
-    std::fprintf(stderr, "pig_node: --num-groups requires paxos/pigpaxos\n");
-    return nullptr;
-  }
-  auto node = std::make_unique<pig::shard::ShardedNode>(args.num_groups);
-  for (uint32_t g = 0; g < args.num_groups; ++g) {
-    pig::storage::Storage* s =
-        OpenGroupStorage(args, g, storages, &opened);
-    if (!opened) return nullptr;
-    auto replica = MakeGroupReplica(args, g, s);
-    if (replica == nullptr) return nullptr;
-    node->AddGroup(std::move(replica));
-  }
-  return node;
+  return pig::harness::BuildNode(args.replica, args.node_id, group_storage);
 }
 
 /// Loads and validates the --scenario pack against this cluster's size.
@@ -252,13 +236,14 @@ int RunReplica(const Args& args) {
     if (i == args.node_id) continue;
     cluster.AddPeer(i, args.peers[i].first, args.peers[i].second);
   }
-  std::unique_ptr<pig::Actor> replica = MakeReplica(args, &storages);
-  if (replica == nullptr) {
-    std::fprintf(stderr, "pig_node: unknown protocol %s\n",
-                 args.protocol.c_str());
+  pig::Result<std::unique_ptr<pig::Actor>> replica =
+      MakeReplica(args, &storages);
+  if (!replica.ok()) {
+    std::fprintf(stderr, "pig_node: %s\n",
+                 replica.status().ToString().c_str());
     return 2;
   }
-  cluster.AddActor(args.node_id, std::move(replica),
+  cluster.AddActor(args.node_id, replica.MoveValue(),
                    args.peers[args.node_id].second);
   if (cluster.port(args.node_id) != args.peers[args.node_id].second) {
     std::fprintf(stderr, "pig_node: could not bind port %u\n",
@@ -267,7 +252,8 @@ int RunReplica(const Args& args) {
   }
   cluster.Start();
   std::printf("pig_node: node %u listening on %u (%s)\n", args.node_id,
-              cluster.port(args.node_id), args.protocol.c_str());
+              cluster.port(args.node_id),
+              pig::harness::ProtocolName(args.replica.protocol).c_str());
   std::fflush(stdout);
   while (g_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -282,7 +268,7 @@ int RunClient(const Args& args) {
     cluster.AddPeer(i, args.peers[i].first, args.peers[i].second);
   }
   auto client = std::make_unique<pig::runtime::SyncClient>(
-      args.peers.size(), args.num_groups);
+      args.peers.size(), static_cast<uint32_t>(args.replica.num_groups));
   pig::runtime::SyncClient* kv = client.get();
   cluster.AddActor(pig::kFirstClientId, std::move(client), /*port=*/0);
   cluster.Start();

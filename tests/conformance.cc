@@ -1,6 +1,8 @@
 #include "conformance.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -23,123 +25,33 @@ namespace {
 // ---------------------------------------------------------------------------
 // Cluster construction
 
-paxos::PaxosOptions MakePaxosOptions(const ConformanceConfig& cfg,
-                                     bool inject_fault) {
-  paxos::PaxosOptions popt;
-  popt.num_replicas = cfg.num_replicas;
-  popt.batch_size = cfg.batch_size;
-  popt.pipeline_depth = cfg.pipeline_depth;
-  // Default: never compact, so invariant checking scans the whole log
-  // (and the snapshot path stays out of the per-key version accounting).
-  // Durability rows override to exercise snapshot + state transfer; the
-  // full-prefix checks gate themselves on first_slot() then.
-  popt.compaction_window =
-      cfg.compaction_window > 0 ? cfg.compaction_window : (1u << 30);
-  popt.snapshot_interval = cfg.snapshot_interval;
-  popt.test_fault_count_duplicate_votes = inject_fault;
-  if (cfg.flexible_q1 > 0 && cfg.flexible_q2 > 0) {
-    popt.quorum = std::make_shared<FlexibleQuorum>(
-        cfg.num_replicas, cfg.flexible_q1, cfg.flexible_q2);
-  }
-  return popt;
+/// Number of consensus groups a config runs (0 normalizes to 1).
+uint32_t GroupCount(const ConformanceConfig& cfg) {
+  return cfg.num_groups > 1 ? static_cast<uint32_t>(cfg.num_groups) : 1;
 }
 
-pigpaxos::PigPaxosOptions MakePigOptions(const ConformanceConfig& cfg,
-                                         bool inject_fault) {
-  pigpaxos::PigPaxosOptions opt;
-  opt.paxos = MakePaxosOptions(cfg, inject_fault);
-  opt.num_relay_groups = cfg.relay_groups;
-  opt.group_overlap = cfg.group_overlap;
-  opt.relay_timeout = 20 * kMillisecond;
-  opt.uplink_coalesce_max = cfg.uplink_coalesce_max;
-  opt.relay_layers = static_cast<uint32_t>(cfg.relay_layers);
-  opt.reshuffle_interval = cfg.reshuffle_interval;
-  if (cfg.scenario.topology == harness::Topology::kWanVaCaOr) {
-    // One relay group per region (§6.4), as the harness does for WAN.
-    opt.grouping = pigpaxos::GroupingStrategy::kRegion;
-    const size_t n = cfg.num_replicas;
-    opt.region_of = [n](NodeId node) {
-      return harness::WanRegionOfNode(node, n);
+/// Builds node `i` through harness::BuildNode. With `disks` (one
+/// in-memory fault-injecting MemStorage per group, outliving every
+/// rebuild of the node), each hosted replica recovers from its disk in
+/// its constructor — the same path a rebuilt node takes after
+/// CrashWithDisk.
+std::unique_ptr<Actor> BuildNodeActor(
+    const harness::ReplicaConfig& cfg, NodeId i,
+    std::vector<storage::MemStorage>* disks = nullptr) {
+  harness::GroupStorage group_storage;
+  if (disks != nullptr) {
+    group_storage = [disks](uint32_t g) -> Result<storage::Storage*> {
+      return &(*disks)[g];
     };
   }
-  return opt;
-}
-
-/// Per-(node, group) in-memory fault-injecting storage for durability
-/// runs. Owned by RunConformance, shared by initial construction and
-/// every crash-with-disk rebuild of the same node.
-struct StorageBank {
-  std::vector<std::vector<std::unique_ptr<storage::MemStorage>>> stores;
-
-  void Init(size_t nodes, uint32_t groups) {
-    stores.clear();
-    stores.resize(nodes);
-    for (auto& per_node : stores) {
-      for (uint32_t g = 0; g < groups; ++g) {
-        per_node.push_back(std::make_unique<storage::MemStorage>());
-      }
-    }
+  Result<std::unique_ptr<Actor>> node =
+      harness::BuildNode(cfg, i, group_storage);
+  if (!node.ok()) {  // a row nothing supports: a harness bug
+    std::fprintf(stderr, "conformance: %s\n",
+                 node.status().ToString().c_str());
+    std::abort();
   }
-  storage::MemStorage* at(NodeId i, uint32_t g) {
-    return stores[i][g].get();
-  }
-};
-
-/// Builds node `i`'s actor (ring / sharded / pig / flat paxos). With a
-/// bank, each hosted replica gets its persistent MemStorage and recovers
-/// from it in its constructor — the same path a rebuilt node takes after
-/// CrashWithDisk.
-std::unique_ptr<Actor> BuildNodeActor(const ConformanceConfig& cfg,
-                                      bool inject_fault, NodeId i,
-                                      StorageBank* bank) {
-  if (cfg.use_epaxos) {
-    epaxos::EPaxosOptions opt;
-    opt.num_replicas = cfg.num_replicas;
-    opt.retry_interval = cfg.epaxos_retry_interval;
-    opt.commit_rebroadcasts = cfg.epaxos_commit_rebroadcasts;
-    return std::make_unique<epaxos::EPaxosReplica>(i, opt);
-  }
-  if (cfg.use_ring) {
-    baselines::RingOptions opt;
-    opt.paxos = MakePaxosOptions(cfg, inject_fault);
-    if (bank != nullptr) opt.paxos.storage = bank->at(i, 0);
-    return std::make_unique<baselines::RingReplica>(i, opt);
-  }
-  if (cfg.num_groups > 1) {
-    // Sharded: every node hosts one replica per consensus group; group g
-    // bootstraps its leader on node g % n so leader load spreads.
-    auto node = std::make_unique<shard::ShardedNode>(cfg.num_groups);
-    for (uint32_t g = 0; g < cfg.num_groups; ++g) {
-      const NodeId bootstrap = static_cast<NodeId>(g % cfg.num_replicas);
-      if (cfg.use_pig) {
-        pigpaxos::PigPaxosOptions opt = MakePigOptions(cfg, inject_fault);
-        opt.paxos.bootstrap_leader = bootstrap;
-        if (bank != nullptr) opt.paxos.storage = bank->at(i, g);
-        node->AddGroup(std::make_unique<pigpaxos::PigPaxosReplica>(i, opt));
-      } else {
-        paxos::PaxosOptions opt = MakePaxosOptions(cfg, inject_fault);
-        opt.bootstrap_leader = bootstrap;
-        if (bank != nullptr) opt.storage = bank->at(i, g);
-        node->AddGroup(std::make_unique<paxos::PaxosReplica>(i, opt));
-      }
-    }
-    return node;
-  }
-  if (cfg.use_pig) {
-    pigpaxos::PigPaxosOptions opt = MakePigOptions(cfg, inject_fault);
-    if (bank != nullptr) opt.paxos.storage = bank->at(i, 0);
-    return std::make_unique<pigpaxos::PigPaxosReplica>(i, opt);
-  }
-  paxos::PaxosOptions opt = MakePaxosOptions(cfg, inject_fault);
-  if (bank != nullptr) opt.storage = bank->at(i, 0);
-  return std::make_unique<paxos::PaxosReplica>(i, opt);
-}
-
-void AddReplicas(sim::Cluster& cluster, const ConformanceConfig& cfg,
-                 bool inject_fault, StorageBank* bank = nullptr) {
-  for (NodeId i = 0; i < cfg.num_replicas; ++i) {
-    cluster.AddReplica(i, BuildNodeActor(cfg, inject_fault, i, bank));
-  }
+  return node.MoveValue();
 }
 
 std::vector<HistoryClient*> AddClients(sim::Cluster& cluster,
@@ -151,9 +63,10 @@ std::vector<HistoryClient*> AddClients(sim::Cluster& cluster,
     ccfg.num_keys = cfg.num_keys;
     ccfg.read_ratio = cfg.read_ratio;
     ccfg.index = i;
-    ccfg.num_groups = cfg.num_groups;
-    ccfg.targeting = cfg.use_epaxos ? HistoryClient::Targeting::kFixedSpread
-                                    : HistoryClient::Targeting::kLeader;
+    ccfg.num_groups = GroupCount(cfg);
+    ccfg.targeting = cfg.protocol == harness::Protocol::kEPaxos
+                         ? HistoryClient::Targeting::kFixedSpread
+                         : HistoryClient::Targeting::kLeader;
     auto owner = std::make_unique<HistoryClient>(ccfg);
     clients.push_back(owner.get());
     cluster.AddClient(sim::Cluster::MakeClientId(i), std::move(owner));
@@ -298,11 +211,11 @@ std::string CheckInvariants(sim::Cluster& cluster,
                             const ConformanceConfig& cfg,
                             const std::vector<HistoryClient*>& clients,
                             ConformanceResult* result) {
-  if (cfg.use_epaxos) {
+  if (cfg.protocol == harness::Protocol::kEPaxos) {
     return CheckEPaxosInvariants(cluster, cfg, clients, result);
   }
   const size_t n = cfg.num_replicas;
-  const uint32_t groups = cfg.num_groups > 0 ? cfg.num_groups : 1;
+  const uint32_t groups = GroupCount(cfg);
   for (auto* c : clients) {
     result->completed_ops += c->history.size();
     result->acked_writes += c->acked_write_seqs.size();
@@ -481,29 +394,36 @@ ConformanceResult RunConformance(const ConformanceConfig& cfg,
     scenario_rt = harness::PrepareScenario(cfg.scenario, cfg.num_replicas);
     if (scenario_rt.latency) copt.network.latency = scenario_rt.latency;
   }
-  // The bank outlives the cluster: replicas (including rebuilt ones)
-  // hold raw pointers into it.
-  StorageBank bank;
-  const bool with_disk = cfg.disk != DiskMode::kNone;
+  // The scenario owns the topology, as ApplyScenario does for measured
+  // runs: WAN scenarios group PigPaxos relays by region.
+  harness::ReplicaConfig nodes = cfg;
+  nodes.topology = cfg.scenario.topology;
+  // Per-(node, group) disks for durability rows. They outlive the
+  // cluster: replicas (including rebuilt ones) hold raw pointers.
+  std::vector<std::vector<storage::MemStorage>> disks;
   sim::Cluster cluster(copt);
-  if (with_disk) {
-    bank.Init(cfg.num_replicas, cfg.num_groups > 0 ? cfg.num_groups : 1);
-    cluster.SetRebuildHook([&cfg, &bank](NodeId id, bool lose_disk) {
-      const uint32_t groups = cfg.num_groups > 0 ? cfg.num_groups : 1;
-      for (uint32_t g = 0; g < groups; ++g) {
+  if (cfg.disk != DiskMode::kNone) {
+    disks.resize(cfg.num_replicas);
+    for (auto& node_disks : disks) {
+      node_disks = std::vector<storage::MemStorage>(GroupCount(cfg));
+    }
+    cluster.SetRebuildHook([&nodes, &disks](NodeId id, bool lose_disk) {
+      for (storage::MemStorage& disk : disks[id]) {
         // kill -9 semantics: appends after the last Sync barrier never
         // reached disk; a lost disk loses everything.
         if (lose_disk) {
-          bank.at(id, g)->WipeAll();
+          disk.WipeAll();
         } else {
-          bank.at(id, g)->DropUnsynced();
+          disk.DropUnsynced();
         }
       }
-      return BuildNodeActor(cfg, /*inject_fault=*/false, id, &bank);
+      return BuildNodeActor(nodes, id, &disks[id]);
     });
   }
-  AddReplicas(cluster, cfg, /*inject_fault=*/false,
-              with_disk ? &bank : nullptr);
+  for (NodeId i = 0; i < cfg.num_replicas; ++i) {
+    cluster.AddReplica(
+        i, BuildNodeActor(nodes, i, disks.empty() ? nullptr : &disks[i]));
+  }
   std::vector<HistoryClient*> clients = AddClients(cluster, cfg);
   cluster.Start();
 
@@ -528,6 +448,7 @@ ConformanceResult RunConformance(const ConformanceConfig& cfg,
     harness::HealScenario(shifted, scenario_rt, cluster, n);
   } else {
     const size_t max_down = (n - 1) / 2;  // a majority always stays up
+    const bool leaderless = cfg.protocol == harness::Protocol::kEPaxos;
     Rng chaos(seed * 7919 + 0x5bd1e995);
     std::vector<bool> down(n, false);
     size_t num_down = 0;
@@ -537,7 +458,7 @@ ConformanceResult RunConformance(const ConformanceConfig& cfg,
       // EPaxos rows take partitions and heals only: crash recovery needs
       // explicit prepare (not implemented) and there are no elections.
       if (dice < 30) {
-        if (!cfg.use_epaxos && num_down < max_down) {
+        if (!leaderless && num_down < max_down) {
           NodeId victim = static_cast<NodeId>(chaos.NextBounded(n));
           if (!down[victim]) {
             switch (cfg.disk) {
@@ -582,7 +503,7 @@ ConformanceResult RunConformance(const ConformanceConfig& cfg,
         cluster.network().HealPartitions();
       } else if (dice < 85) {
         NodeId who = static_cast<NodeId>(chaos.NextBounded(n));
-        if (!cfg.use_epaxos && !down[who]) {
+        if (!leaderless && !down[who]) {
           if (cfg.num_groups > 1) {
             // Churn one random group's leadership; the others must ride
             // through untouched.
@@ -630,7 +551,6 @@ ConformanceResult RunDuplicateVoteFaultScenario(uint64_t seed,
   // counts the duplicate, fabricating a commit that phase 2 then loses.
   ConformanceConfig cfg;
   cfg.name = "duplicate-vote-fault";
-  cfg.use_pig = true;
   cfg.num_replicas = 5;
   cfg.num_clients = 1;
   cfg.num_keys = 1;
@@ -641,7 +561,9 @@ ConformanceResult RunDuplicateVoteFaultScenario(uint64_t seed,
   sim::Cluster cluster(copt);
   {
     pigpaxos::PigPaxosOptions opt;
-    opt.paxos = MakePaxosOptions(cfg, inject_fault);
+    opt.paxos.num_replicas = cfg.num_replicas;
+    opt.paxos.compaction_window = cfg.compaction_window;
+    opt.paxos.test_fault_count_duplicate_votes = inject_fault;
     // Keep follower 1 from starting elections while the majority is
     // down (2 live nodes can elect nobody), and retry proposals fast so
     // the duplicate-vote path gets exercised quickly.
@@ -650,7 +572,7 @@ ConformanceResult RunDuplicateVoteFaultScenario(uint64_t seed,
     opt.paxos.propose_retry_timeout = 100 * kMillisecond;
     opt.num_relay_groups = cfg.relay_groups;
     opt.group_overlap = 1;
-    opt.relay_timeout = 20 * kMillisecond;
+    opt.relay_timeout = cfg.relay_timeout;
     for (NodeId i = 0; i < cfg.num_replicas; ++i) {
       cluster.AddReplica(
           i, std::make_unique<pigpaxos::PigPaxosReplica>(i, opt));
@@ -712,7 +634,7 @@ ConformanceResult RunDuplicationFaultScenario(uint64_t seed,
   //     the slots, exposing log disagreement / lost acks.
   ConformanceConfig cfg;
   cfg.name = "duplication-fault";
-  cfg.use_pig = false;
+  cfg.protocol = harness::Protocol::kPaxos;
   cfg.num_replicas = 5;
   cfg.num_clients = 1;
   cfg.num_keys = 1;
@@ -722,8 +644,10 @@ ConformanceResult RunDuplicationFaultScenario(uint64_t seed,
   copt.seed = seed;
   sim::Cluster cluster(copt);
   {
-    paxos::PaxosOptions opt =
-        MakePaxosOptions(cfg, fault == DedupFault::kVoteCount);
+    paxos::PaxosOptions opt;
+    opt.num_replicas = cfg.num_replicas;
+    opt.compaction_window = cfg.compaction_window;
+    opt.test_fault_count_duplicate_votes = fault == DedupFault::kVoteCount;
     opt.test_fault_no_client_dedup = fault == DedupFault::kClientRecords;
     // Keep follower 1 from starting elections while the majority is
     // down, and retry proposals fast so duplicated votes get exercised.

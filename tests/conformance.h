@@ -25,6 +25,7 @@
 #include <string>
 
 #include "common/types.h"
+#include "harness/node_builder.h"
 #include "harness/scenario.h"
 
 namespace pig::test {
@@ -47,57 +48,32 @@ enum class DiskMode {
                 ///< legitimate data loss, not a protocol bug).
 };
 
-struct ConformanceConfig {
+/// One randomized or scripted run of the replicas harness::BuildNode
+/// builds from the inherited knobs. Sharded rows (num_groups > 1) route
+/// client commands by key and check every invariant per group, plus
+/// that each committed command landed in its key's group.
+///
+/// kEPaxos rows switch to instance agreement + dependency-execution
+/// convergence and skip the crash/election chaos arms (no
+/// explicit-prepare recovery, DESIGN.md §6), so they exercise the
+/// delivery fault kinds. Client i sends to replica i % N until it goes
+/// silent; random per-send targets are out of contract, since without
+/// recovery they make stores diverge under one-way partitions.
+struct ConformanceConfig : harness::ReplicaConfig {
+  /// PigPaxos with a 20 ms relay timeout, and never compact, so the
+  /// checker scans the whole log. Durability rows set a small
+  /// compaction_window to exercise snapshot + state transfer; the
+  /// full-prefix checks gate themselves on first_slot() then.
+  ConformanceConfig() {
+    protocol = harness::Protocol::kPigPaxos;
+    relay_timeout = 20 * kMillisecond;
+    compaction_window = 1u << 30;
+  }
+
   std::string name;           ///< Diagnostics only.
-  bool use_pig = true;
-  /// Ring-pipeline baseline (baselines/ring_replica.h); wins over
-  /// use_pig so the same chaos schedules validate both protocols.
-  bool use_ring = false;
-  /// Leaderless EPaxos baseline (epaxos/replica.h); wins over use_ring
-  /// and use_pig. Clients spread across replicas (every node is a
-  /// command leader) and the invariant set switches to instance
-  /// agreement + dependency-execution convergence. Crash/election chaos
-  /// arms are skipped: explicit-prepare recovery is not implemented
-  /// (DESIGN.md §6), so epaxos rows exercise the *delivery* fault kinds
-  /// — duplication, reordering, one-way partitions, clock skew.
-  /// Client targets are fixed per client (client i starts at replica
-  /// i % N and moves on only when it goes silent). Random per-send
-  /// targets are outside the contract: without recovery, they make
-  /// stores diverge under one-way partitions.
-  bool use_epaxos = false;
-  /// EPaxosOptions::retry_interval / commit_rebroadcasts for epaxos
-  /// rows. Any schedule that loses messages (drops, partitions) needs
-  /// retransmission: a lost PreAccept or ECommit wedges dependency
-  /// execution at the replica that missed it.
-  TimeNs epaxos_retry_interval = 0;
-  uint32_t epaxos_commit_rebroadcasts = 0;
-  size_t num_replicas = 5;
   size_t num_clients = 4;
   size_t num_keys = 8;
   double read_ratio = 0.5;
-
-  /// Consensus groups hash-partitioning the keyspace (shard/). 1 = the
-  /// classic single-group run. With > 1 every node hosts one replica
-  /// per group (shard::ShardedNode), clients route commands by key
-  /// through a ShardRouter, and the invariant set runs per group — plus
-  /// a membership check that every committed command landed in the
-  /// group its key hashes to.
-  uint32_t num_groups = 1;
-
-  // Batching / pipelining (1/1 = engine off).
-  size_t batch_size = 1;
-  size_t pipeline_depth = 1;
-
-  // PigPaxos relay layer.
-  size_t relay_groups = 2;
-  size_t group_overlap = 0;
-  size_t uplink_coalesce_max = 1;
-  size_t relay_layers = 1;
-  TimeNs reshuffle_interval = 0;   ///< §4.1 dynamic regrouping.
-
-  // Flexible quorums (0 = majority).
-  size_t flexible_q1 = 0;
-  size_t flexible_q2 = 0;
 
   double drop_probability = 0.0;
   int chaos_rounds = 6;
@@ -108,13 +84,10 @@ struct ConformanceConfig {
   // which skips every WAL/snapshot hook — that configuration must stay
   // byte-identical to the harness before durability existed.
   DiskMode disk = DiskMode::kNone;
-  size_t snapshot_interval = 0;   ///< PaxosOptions::snapshot_interval.
-  size_t compaction_window = 0;   ///< 0 = never compact (checker scans
-                                  ///< the whole log); nonzero exercises
-                                  ///< snapshot + state-transfer paths
-                                  ///< and gates the full-prefix checks.
 
-  /// Scripted scenario (harness/scenario.h). When the schedule is
+  /// Scripted scenario (harness/scenario.h). Its topology is the run's
+  /// topology (as harness::ApplyScenario does for measured runs), so
+  /// WAN rows group PigPaxos relays by region. When the schedule is
   /// non-empty it REPLACES the seeded random chaos: the named fault
   /// events run at their absolute virtual times (offset by the 150 ms
   /// settle phase), the topology/gray model applies, and after

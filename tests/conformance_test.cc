@@ -17,6 +17,10 @@
 namespace pig::test {
 namespace {
 
+harness::Protocol Proto(bool pig) {
+  return pig ? harness::Protocol::kPigPaxos : harness::Protocol::kPaxos;
+}
+
 std::vector<ConformanceConfig> BuildMatrix() {
   std::vector<ConformanceConfig> configs;
   auto add = [&](const char* name, bool pig, size_t batch, size_t depth,
@@ -24,7 +28,7 @@ std::vector<ConformanceConfig> BuildMatrix() {
                  size_t q1, size_t q2, double drop) {
     ConformanceConfig c;
     c.name = name;
-    c.use_pig = pig;
+    c.protocol = Proto(pig);
     c.batch_size = batch;
     c.pipeline_depth = depth;
     c.relay_groups = groups;
@@ -57,8 +61,7 @@ std::vector<ConformanceConfig> BuildMatrix() {
                       size_t q1, size_t q2, double drop) {
     ConformanceConfig c;
     c.name = name;
-    c.use_pig = false;
-    c.use_ring = true;
+    c.protocol = harness::Protocol::kRing;
     c.batch_size = batch;
     c.pipeline_depth = depth;
     c.flexible_q1 = q1;
@@ -79,7 +82,7 @@ std::vector<ConformanceConfig> BuildMatrix() {
                          size_t depth, uint32_t groups, double drop) {
     ConformanceConfig c;
     c.name = name;
-    c.use_pig = pig;
+    c.protocol = Proto(pig);
     c.num_groups = groups;
     c.num_keys = 16;
     c.batch_size = batch;
@@ -100,7 +103,7 @@ std::vector<ConformanceConfig> BuildMatrix() {
                       double drop) {
     ConformanceConfig c;
     c.name = name;
-    c.use_pig = pig;
+    c.protocol = Proto(pig);
     c.num_groups = groups;
     c.num_keys = groups > 1 ? 16 : 8;
     c.relay_groups = 2;
@@ -125,7 +128,7 @@ std::vector<ConformanceConfig> BuildMatrix() {
   auto add_losing = [&](const char* name, bool pig, uint32_t groups) {
     ConformanceConfig c;
     c.name = name;
-    c.use_pig = pig;
+    c.protocol = Proto(pig);
     c.num_groups = groups;
     c.num_keys = groups > 1 ? 16 : 8;
     c.relay_groups = 2;
@@ -151,8 +154,7 @@ std::vector<ConformanceConfig> BuildMatrix() {
                              std::vector<harness::FaultEvent> schedule) {
     ConformanceConfig c;
     c.name = name;
-    c.use_pig = pig;
-    c.use_ring = ring;
+    c.protocol = ring ? harness::Protocol::kRing : Proto(pig);
     c.scenario.name = name;
     c.scenario.schedule = std::move(schedule);
     configs.push_back(c);
@@ -230,8 +232,7 @@ std::vector<ConformanceConfig> BuildMatrix() {
                         std::vector<harness::FaultEvent> schedule) {
     ConformanceConfig c;
     c.name = name;
-    c.use_pig = false;
-    c.use_epaxos = true;
+    c.protocol = harness::Protocol::kEPaxos;
     c.epaxos_retry_interval = retry;
     c.epaxos_commit_rebroadcasts = recasts;
     c.scenario.name = name;

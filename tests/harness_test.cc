@@ -162,6 +162,24 @@ TEST(HarnessTest, ProtocolNames) {
   EXPECT_EQ(ProtocolName(Protocol::kPaxos), "Paxos");
   EXPECT_EQ(ProtocolName(Protocol::kPigPaxos), "PigPaxos");
   EXPECT_EQ(ProtocolName(Protocol::kEPaxos), "EPaxos");
+  EXPECT_EQ(ProtocolName(Protocol::kRing), "Ring");
+}
+
+// A sharded Ring or EPaxos run used to build PigPaxos replicas under
+// the other protocol's name; it must stop with the builder's message.
+TEST(HarnessDeathTest, ShardedRunRejectsNonLeaderProtocols) {
+  for (Protocol proto : {Protocol::kRing, Protocol::kEPaxos}) {
+    ExperimentConfig cfg = SmallConfig(proto);
+    cfg.num_groups = 2;
+    EXPECT_DEATH(RunExperiment(cfg), "support only Paxos and PigPaxos")
+        << ProtocolName(proto);
+  }
+  ExperimentConfig base = SmallConfig(Protocol::kPaxos);
+  base.num_groups = 2;
+  base.measure = 100 * kMillisecond;
+  // The default sweep axes include kRing.
+  EXPECT_DEATH(RunScenarioSweep(ScenarioSpec{}, SweepAxes{}, base),
+               "not Ring");
 }
 
 TEST(ReportTest, SweepCsvRoundTrip) {

@@ -3,6 +3,7 @@
 // conflicting clients.
 #include <gtest/gtest.h>
 
+#include "harness/node_builder.h"
 #include "history_client.h"
 #include "linearizability.h"
 #include "test_util.h"
@@ -87,42 +88,17 @@ TEST(LinearizabilityCheckerTest, AcceptsInitialReadBeforeWrites) {
 
 // --- Live histories -----------------------------------------------------
 
-enum class Proto { kPaxos, kPig, kEPaxos };
-
-std::vector<HistoryOp> RecordHistory(Proto proto, uint64_t seed) {
+std::vector<HistoryOp> RecordHistory(harness::Protocol proto,
+                                     uint64_t seed) {
   sim::ClusterOptions copt;
   copt.seed = seed;
   sim::Cluster cluster(copt);
   constexpr size_t kNodes = 5;
-  switch (proto) {
-    case Proto::kPaxos: {
-      paxos::PaxosOptions opt;
-      opt.num_replicas = kNodes;
-      for (NodeId i = 0; i < kNodes; ++i) {
-        cluster.AddReplica(i,
-                           std::make_unique<paxos::PaxosReplica>(i, opt));
-      }
-      break;
-    }
-    case Proto::kPig: {
-      pigpaxos::PigPaxosOptions opt;
-      opt.paxos.num_replicas = kNodes;
-      opt.num_relay_groups = 2;
-      for (NodeId i = 0; i < kNodes; ++i) {
-        cluster.AddReplica(
-            i, std::make_unique<pigpaxos::PigPaxosReplica>(i, opt));
-      }
-      break;
-    }
-    case Proto::kEPaxos: {
-      epaxos::EPaxosOptions opt;
-      opt.num_replicas = kNodes;
-      for (NodeId i = 0; i < kNodes; ++i) {
-        cluster.AddReplica(i,
-                           std::make_unique<epaxos::EPaxosReplica>(i, opt));
-      }
-      break;
-    }
+  harness::ReplicaConfig rcfg;
+  rcfg.protocol = proto;
+  rcfg.num_replicas = kNodes;
+  for (NodeId i = 0; i < kNodes; ++i) {
+    cluster.AddReplica(i, harness::BuildNode(rcfg, i).MoveValue());
   }
   std::vector<HistoryClient*> clients;
   for (uint32_t c = 0; c < 6; ++c) {
@@ -130,7 +106,7 @@ std::vector<HistoryOp> RecordHistory(Proto proto, uint64_t seed) {
     ccfg.num_replicas = kNodes;
     ccfg.num_keys = 2;  // a tiny hot keyspace keeps clients conflicting
     ccfg.index = c;
-    ccfg.targeting = proto == Proto::kEPaxos
+    ccfg.targeting = proto == harness::Protocol::kEPaxos
                          ? HistoryClient::Targeting::kRandomPerSend
                          : HistoryClient::Targeting::kLeader;
     auto client = std::make_unique<HistoryClient>(ccfg);
@@ -151,16 +127,17 @@ class LiveLinearizabilityTest
 
 TEST_P(LiveLinearizabilityTest, HistoryIsLinearizable) {
   auto [proto_int, seed] = GetParam();
-  auto history = RecordHistory(static_cast<Proto>(proto_int), seed);
+  auto history =
+      RecordHistory(static_cast<harness::Protocol>(proto_int), seed);
   ASSERT_GT(history.size(), 500u) << "not enough completions recorded";
   EXPECT_EQ(CheckLinearizability(history), "");
 }
 
 std::string LiveCaseName(
     const ::testing::TestParamInfo<std::tuple<int, uint64_t>>& info) {
-  static const char* kNames[] = {"Paxos", "PigPaxos", "EPaxos"};
-  return std::string(kNames[std::get<0>(info.param)]) + "Seed" +
-         std::to_string(std::get<1>(info.param));
+  return harness::ProtocolName(
+             static_cast<harness::Protocol>(std::get<0>(info.param))) +
+         "Seed" + std::to_string(std::get<1>(info.param));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "client/closed_loop_client.h"
+#include "harness/node_builder.h"
 #include "test_util.h"
 
 namespace pig::test {
@@ -36,22 +37,13 @@ TEST_P(ConsensusChaosTest, SafetyUnderChaos) {
   copt.network.drop_probability = p.drop_probability;
   sim::Cluster cluster(copt);
 
-  if (p.use_pig) {
-    pigpaxos::PigPaxosOptions opt;
-    opt.paxos.num_replicas = kNodes;
-    opt.num_relay_groups = 2;
-    opt.relay_timeout = 20 * kMillisecond;
-    for (NodeId i = 0; i < kNodes; ++i) {
-      cluster.AddReplica(
-          i, std::make_unique<pigpaxos::PigPaxosReplica>(i, opt));
-    }
-  } else {
-    paxos::PaxosOptions opt;
-    opt.num_replicas = kNodes;
-    for (NodeId i = 0; i < kNodes; ++i) {
-      cluster.AddReplica(i,
-                         std::make_unique<paxos::PaxosReplica>(i, opt));
-    }
+  harness::ReplicaConfig rcfg;
+  rcfg.protocol =
+      p.use_pig ? harness::Protocol::kPigPaxos : harness::Protocol::kPaxos;
+  rcfg.num_replicas = kNodes;
+  rcfg.relay_timeout = 20 * kMillisecond;
+  for (NodeId i = 0; i < kNodes; ++i) {
+    cluster.AddReplica(i, harness::BuildNode(rcfg, i).MoveValue());
   }
 
   auto recorder = std::make_shared<client::Recorder>();

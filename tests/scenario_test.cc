@@ -60,8 +60,7 @@ ConformanceResult RunScripted(const ScenarioSpec& spec, bool ring,
                               uint64_t seed, size_t n = 5) {
   ConformanceConfig cfg;
   cfg.name = spec.name + (ring ? "-ring" : "-pig");
-  cfg.use_pig = !ring;
-  cfg.use_ring = ring;
+  cfg.protocol = ring ? Protocol::kRing : Protocol::kPigPaxos;
   cfg.num_replicas = n;
   cfg.relay_groups = 3;
   cfg.reshuffle_interval = 300 * kMillisecond;

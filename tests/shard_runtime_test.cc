@@ -1,17 +1,17 @@
 // Sharded runtime integration: ShardedNode + SyncClient over the
 // real-thread runtime, with full envelope encode/decode on every hop.
-// Mirrors the pig_node --num-groups process topology (minus the
-// sockets, which tcp_runtime_test and run_tcp_cluster.sh --groups
-// cover).
+// Uses the pig_node --num-groups node assembly (harness::BuildNode),
+// minus the sockets, which tcp_runtime_test and run_tcp_cluster.sh
+// --groups cover.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <string>
 
+#include "harness/node_builder.h"
 #include "paxos/replica.h"
 #include "pigpaxos/messages.h"
-#include "pigpaxos/replica.h"
 #include "runtime/thread_cluster.h"
 #include "shard/messages.h"
 #include "shard/router.h"
@@ -32,17 +32,12 @@ class ShardRuntimeTest : public ::testing::Test {
 
   /// One ShardedNode hosting kGroups PigPaxos replicas, leader of group
   /// g bootstrapped on node g % kNodes — the pig_node assembly.
-  static std::unique_ptr<shard::ShardedNode> MakeNode(NodeId id) {
-    auto node = std::make_unique<shard::ShardedNode>(kGroups);
-    for (uint32_t g = 0; g < kGroups; ++g) {
-      pigpaxos::PigPaxosOptions opt;
-      opt.paxos.num_replicas = kNodes;
-      opt.paxos.bootstrap_leader = static_cast<NodeId>(g % kNodes);
-      opt.num_relay_groups = 2;
-      node->AddGroup(
-          std::make_unique<pigpaxos::PigPaxosReplica>(id, opt));
-    }
-    return node;
+  static std::unique_ptr<Actor> MakeNode(NodeId id) {
+    harness::ReplicaConfig cfg;
+    cfg.protocol = harness::Protocol::kPigPaxos;
+    cfg.num_replicas = kNodes;
+    cfg.num_groups = kGroups;
+    return harness::BuildNode(cfg, id).MoveValue();
   }
 };
 

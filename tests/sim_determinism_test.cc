@@ -316,5 +316,29 @@ TEST(SimDeterminismGoldenTest, EPaxosClientCounters) {
   ExpectPinned(r, 3380, 0, 0, 0, 106718);
 }
 
+/// A 1 ms ring round watch times rounds out into the broadcast fallback:
+/// pins the ring options the node builder maps.
+TEST(SimDeterminismGoldenTest, RingClientCounters) {
+  harness::ExperimentConfig cfg = PinnedConfig(harness::Protocol::kRing);
+  cfg.ring_ack_timeout = 1 * kMillisecond;
+  const harness::RunResult r = harness::RunExperiment(cfg);
+  EXPECT_GT(r.ring_rounds_completed, 0u);
+  EXPECT_GT(r.ring_timeouts, 0u);
+  ExpectPinned(r, 19185, 0, 0, 0, 422890);
+}
+
+/// WAN PigPaxos with region relay groups and a q2 = 3 flexible quorum
+/// (commits stay in Virginia): without either, ~200 commands complete.
+TEST(SimDeterminismGoldenTest, WanRegionFlexibleQuorumClientCounters) {
+  harness::ExperimentConfig cfg =
+      PinnedConfig(harness::Protocol::kPigPaxos);
+  cfg.num_replicas = 9;
+  cfg.topology = harness::Topology::kWanVaCaOr;
+  cfg.flexible_q1 = 7;
+  cfg.flexible_q2 = 3;
+  const harness::RunResult r = harness::RunExperiment(cfg);
+  ExpectPinned(r, 13920, 0, 430, 0, 547327);
+}
+
 }  // namespace
 }  // namespace pig
