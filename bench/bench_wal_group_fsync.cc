@@ -16,13 +16,22 @@
 // counter is deterministic, so the comparison has no tolerance, and a
 // cross-row ratio floor requires window:16 to amortize >= 8 records per
 // barrier.
+//
+// BM_Crc32 and BM_AppendWalFrame time the CPU side of one append — the
+// checksum and the in-place record framing — in bytes/second. They are
+// informational only and stay out of the gate (wall-clock rows); the
+// exact regression check for the append path is the allocation count
+// in tests/message_alloc_test.cc.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <filesystem>
 #include <string>
+#include <vector>
 
+#include "common/crc32.h"
 #include "consensus/ballot.h"
+#include "statemachine/batch.h"
 #include "statemachine/command.h"
 #include "storage/file_storage.h"
 
@@ -84,6 +93,42 @@ BENCHMARK(BM_WalGroupFsync)
     ->Arg(1)
     ->Arg(16)
     ->Unit(benchmark::kMicrosecond);
+
+void BM_Crc32(benchmark::State& state) {
+  const std::vector<uint8_t> buf(static_cast<size_t>(state.range(0)), 0x5a);
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = Crc32Extend(crc, buf.data(), buf.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1024)->Arg(65536);
+
+/// One batch-window accept (a kBatch carrier of eight puts whose values
+/// are `range(0)` bytes each) framed into a reused buffer, as
+/// FileStorage::Append does between syncs.
+void BM_AppendWalFrame(benchmark::State& state) {
+  std::vector<Command> puts;
+  for (uint64_t i = 0; i < 8; ++i) {
+    puts.push_back(Command::Put(
+        "key-" + std::to_string(i),
+        std::string(static_cast<size_t>(state.range(0)), 'v'),
+        kFirstClientId, i + 1));
+  }
+  const storage::WalRecord rec = storage::WalRecord::Accept(
+      7, Ballot(1, 0), BatchCommand::Wrap(std::move(puts)));
+  std::vector<uint8_t> pending;
+  for (auto _ : state) {
+    pending.clear();
+    storage::AppendWalFrame(rec, &pending);
+    benchmark::DoNotOptimize(pending.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(pending.size()));
+}
+BENCHMARK(BM_AppendWalFrame)->Arg(1024);
 
 }  // namespace
 }  // namespace pig

@@ -6,9 +6,11 @@
 // so most commands take the slow path and dependency graphs grow — the
 // behaviour responsible for EPaxos's early saturation.
 //
-// Simplification (documented in DESIGN.md §6): explicit-prepare recovery
-// after a command-leader crash is not implemented; the paper's evaluation
-// never crashes EPaxos nodes.
+// Simplification: explicit-prepare recovery after a command-leader crash
+// is not implemented; the paper's evaluation never crashes EPaxos nodes.
+// So EPaxos runs without crashes or forced elections, and without
+// storage (harness::BuildNode rejects it); README "Adversarial testing"
+// describes the conformance row this leaves.
 #pragma once
 
 #include <cstdint>

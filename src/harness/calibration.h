@@ -1,4 +1,5 @@
-// Calibration notes for the simulated CPU model (see DESIGN.md).
+// Calibration notes for the simulated CPU model, sim::DefaultReplicaCpu()
+// (src/sim/cluster.cc). This header holds no code.
 //
 // The paper measured ~2000 req/s for a saturated 25-node Multi-Paxos
 // leader on m5a.large (2 vCPU). Per its own §6.1 model the leader handles
@@ -14,14 +15,3 @@
 // exec_edge_cost) modeling dependency bookkeeping; they scale with the
 // *actual* graph work the implementation performs, so low-conflict
 // workloads are proportionally cheaper.
-#pragma once
-
-#include "sim/cluster.h"
-
-namespace pig::harness {
-
-/// Single source of truth for bench CPU settings (currently the library
-/// default; kept separate so ablations can tweak it in one place).
-inline sim::CpuModel BenchReplicaCpu() { return sim::DefaultReplicaCpu(); }
-
-}  // namespace pig::harness

@@ -114,7 +114,9 @@ struct SnapshotData {
 // where payload = [u32 LE crc32][encoded record]; the crc covers the
 // encoded record bytes. Snapshots use the same payload shape in a single
 // frame. Shared by both implementations so fault-injection tests exercise
-// the exact bytes the file backend writes.
+// the exact bytes the file backend writes. Writers size a record with the
+// counting sizer and encode it in place; the byte format is pinned by a
+// golden fixture in tests/storage_test.cc.
 
 void EncodeWalRecord(const WalRecord& rec, Encoder& enc);
 Status DecodeWalRecord(Decoder& dec, WalRecord* out);
@@ -122,7 +124,8 @@ Status DecodeWalRecord(Decoder& dec, WalRecord* out);
 void EncodeSnapshot(const SnapshotData& snap, Encoder& enc);
 Status DecodeSnapshot(Decoder& dec, SnapshotData* out);
 
-/// Appends one framed, checksummed WAL record to `*out`.
+/// Appends one framed, checksummed WAL record to `*out`: at most one
+/// (geometric) growth of `out`, and none when its capacity suffices.
 void AppendWalFrame(const WalRecord& rec, std::vector<uint8_t>* out);
 
 /// Verifies the crc and decodes one frame payload (as handed out by
@@ -130,7 +133,8 @@ void AppendWalFrame(const WalRecord& rec, std::vector<uint8_t>* out);
 /// the torn-record signal that stops replay.
 bool ParseWalPayload(const uint8_t* payload, size_t size, WalRecord* out);
 
-/// Builds the checksummed snapshot blob (crc + body, unframed).
+/// Builds the checksummed snapshot blob (crc + body, unframed) in one
+/// exactly sized allocation.
 std::vector<uint8_t> EncodeSnapshotBlob(const SnapshotData& snap);
 
 /// Inverse of EncodeSnapshotBlob; nullopt on checksum/decode failure.

@@ -1,5 +1,7 @@
 #include "storage/storage.h"
 
+#include <algorithm>
+
 #include "net/frame.h"
 
 namespace pig::storage {
@@ -23,13 +25,13 @@ Status DecodeClientRecord(Decoder& dec, ClientDedupEntry* out) {
   return Status::Ok();
 }
 
-/// Prepends the crc of everything encoded after it. The crc slot is
-/// written last (the body length is unknown up front), so callers encode
-/// into a scratch vector: [4 crc placeholder][body].
-void SealCrc(std::vector<uint8_t>& buf) {
-  const uint32_t crc = Crc32(buf.data() + kCrcBytes, buf.size() - kCrcBytes);
+/// Patches the crc slot at the head of `payload` ([4 crc][body]) with the
+/// crc of the body. The body length is only final once it is encoded, so
+/// writers put a zero placeholder first and seal it last.
+void SealCrc(uint8_t* payload, size_t size) {
+  const uint32_t crc = Crc32(payload + kCrcBytes, size - kCrcBytes);
   for (size_t i = 0; i < kCrcBytes; ++i) {
-    buf[i] = static_cast<uint8_t>(crc >> (8 * i));
+    payload[i] = static_cast<uint8_t>(crc >> (8 * i));
   }
 }
 
@@ -123,13 +125,22 @@ Status DecodeSnapshot(Decoder& dec, SnapshotData* out) {
 }
 
 void AppendWalFrame(const WalRecord& rec, std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload(kCrcBytes, 0);  // crc sealed below
-  {
-    Encoder enc(payload);
-    EncodeWalRecord(rec, enc);
+  Encoder sizer{Encoder::SizerTag{}};
+  EncodeWalRecord(rec, sizer);
+  const size_t payload_size = kCrcBytes + sizer.size();
+  // One growth step at most, still geometric, so a buffer collecting a
+  // batch window of frames (FileStorage::pending_) amortizes its growth.
+  const size_t need = out->size() + net::kFrameHeaderBytes + payload_size;
+  if (need > out->capacity()) {
+    out->reserve(std::max(need, 2 * out->capacity()));
   }
-  SealCrc(payload);
-  net::AppendRawFrame(payload.data(), payload.size(), out);
+  // [u32 LE length][u32 crc placeholder][record], encoded in place.
+  Encoder enc(*out);
+  enc.PutU32(static_cast<uint32_t>(payload_size));
+  const size_t payload_at = out->size();
+  enc.PutU32(0);
+  EncodeWalRecord(rec, enc);
+  SealCrc(out->data() + payload_at, payload_size);
 }
 
 bool ParseWalPayload(const uint8_t* payload, size_t size, WalRecord* out) {
@@ -140,12 +151,14 @@ bool ParseWalPayload(const uint8_t* payload, size_t size, WalRecord* out) {
 }
 
 std::vector<uint8_t> EncodeSnapshotBlob(const SnapshotData& snap) {
-  std::vector<uint8_t> blob(kCrcBytes, 0);
-  {
-    Encoder enc(blob);
-    EncodeSnapshot(snap, enc);
-  }
-  SealCrc(blob);
+  Encoder sizer{Encoder::SizerTag{}};
+  EncodeSnapshot(snap, sizer);
+  std::vector<uint8_t> blob;
+  blob.reserve(kCrcBytes + sizer.size());  // the blob's one allocation
+  Encoder enc(blob);
+  enc.PutU32(0);  // crc placeholder
+  EncodeSnapshot(snap, enc);
+  SealCrc(blob.data(), blob.size());
   return blob;
 }
 

@@ -55,8 +55,8 @@ enum class DiskMode {
 ///
 /// kEPaxos rows switch to instance agreement + dependency-execution
 /// convergence and skip the crash/election chaos arms (no
-/// explicit-prepare recovery, DESIGN.md §6), so they exercise the
-/// delivery fault kinds. Client i sends to replica i % N until it goes
+/// explicit-prepare recovery; see src/epaxos/replica.h), so they
+/// exercise the delivery fault kinds. Client i sends to replica i % N until it goes
 /// silent; random per-send targets are out of contract, since without
 /// recovery they make stores diverge under one-way partitions.
 struct ConformanceConfig : harness::ReplicaConfig {

@@ -11,7 +11,10 @@
 //   * the decode side: parsing a steady-state round's wire bytes —
 //     envelopes, nested payloads and all — constructs every message
 //     through the pool's recycled blocks, allocating nothing after
-//     warm-up (the per-type free lists are the "decode arena").
+//     warm-up (the per-type free lists are the "decode arena");
+//   * the WAL append path: a record frames in place into the caller's
+//     buffer (zero allocations with room, one without, geometric growth
+//     across a batch window), and a snapshot blob is one allocation.
 //
 // The hook counts every operator-new in the process, so each assertion
 // brackets exactly the operation under test and compares raw counter
@@ -21,6 +24,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "consensus/client_messages.h"
@@ -28,6 +32,8 @@
 #include "paxos/messages.h"
 #include "pigpaxos/messages.h"
 #include "shard/messages.h"
+#include "statemachine/batch.h"
+#include "storage/storage.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
@@ -244,6 +250,62 @@ TEST(MessageAllocTest, MessagePoolRecyclesSteadyState) {
   const uint64_t after = Allocations();
   EXPECT_EQ(after - before, 0u)
       << "pooled acquire after release hit the heap";
+}
+
+/// A batch-window-shaped accept: a kBatch carrier of eight 1 KiB puts.
+storage::WalRecord BatchAccept(SlotId slot) {
+  std::vector<Command> puts;
+  for (uint64_t i = 0; i < 8; ++i) {
+    puts.push_back(Command::Put("key0000" + std::to_string(i),
+                                std::string(1024, 'v'), kFirstClientId,
+                                static_cast<uint64_t>(slot) * 8 + i));
+  }
+  return storage::WalRecord::Accept(slot, Ballot(3, 0),
+                                    BatchCommand::Wrap(std::move(puts)));
+}
+
+TEST(MessageAllocTest, WalFrameEncodesInPlace) {
+  const storage::WalRecord rec = BatchAccept(11);
+
+  // With room in the buffer: no scratch vector, no growth.
+  std::vector<uint8_t> roomy;
+  roomy.reserve(64 * 1024);
+  uint64_t before = Allocations();
+  storage::AppendWalFrame(rec, &roomy);
+  EXPECT_EQ(Allocations() - before, 0u) << "framing used a scratch buffer";
+  ASSERT_GT(roomy.size(), 8u * 1024);
+
+  // Into an empty buffer: exactly the one growth of `out`.
+  std::vector<uint8_t> empty;
+  before = Allocations();
+  storage::AppendWalFrame(rec, &empty);
+  EXPECT_EQ(Allocations() - before, 1u);
+  EXPECT_EQ(empty, roomy);
+
+  // A batch window of appends to one buffer grows it geometrically.
+  std::vector<uint8_t> window;
+  before = Allocations();
+  for (int i = 0; i < 16; ++i) storage::AppendWalFrame(rec, &window);
+  EXPECT_LE(Allocations() - before, 6u) << "pending buffer grew linearly";
+  EXPECT_EQ(window.size(), 16 * roomy.size());
+}
+
+TEST(MessageAllocTest, SnapshotBlobIsOneAllocation) {
+  storage::SnapshotData snap;
+  snap.upto = 4095;
+  snap.promised = Ballot(3, 0);
+  for (int i = 0; i < 256; ++i) {
+    snap.kv.push_back(VersionedKv{"key" + std::to_string(i),
+                                  std::string(1024, 'v'), 1});
+  }
+  for (NodeId c = 0; c < 4; ++c) {
+    snap.client_records.push_back(
+        storage::ClientDedupEntry{kFirstClientId + c, 7, "ok", 4000});
+  }
+  const uint64_t before = Allocations();
+  const std::vector<uint8_t> blob = storage::EncodeSnapshotBlob(snap);
+  EXPECT_EQ(Allocations() - before, 1u) << "snapshot blob grew by doubling";
+  EXPECT_GT(blob.size(), 256u * 1024);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Unit tests for the durable-storage layer (src/storage/): WAL record /
-// snapshot codecs, the in-memory fault-injecting backend (torn-write,
+// Unit tests for the durable-storage layer (src/storage/): the CRC-32
+// against a bitwise reference, WAL record / snapshot codecs with a golden
+// fixture pinning the on-disk bytes, the in-memory fault-injecting backend (torn-write,
 // lost-suffix, disk-wipe), and the on-disk segmented backend (reopen
 // round-trips, torn tails, segment rolling, snapshot-covered pruning,
 // group-fsync accounting).
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "statemachine/batch.h"
 #include "storage/file_storage.h"
 #include "storage/mem_storage.h"
 #include "storage/storage.h"
@@ -70,16 +72,34 @@ TEST(WalCodecTest, FrameRoundTripsAllRecordKinds) {
 }
 
 TEST(WalCodecTest, CorruptPayloadFailsChecksum) {
+  // Size the value so the encoded record is 4,097 bytes: not a multiple
+  // of 8, so the checksum's word loop and its byte tail both see a flip.
+  constexpr size_t kBody = 4097;
+  auto make = [](size_t value_len) {
+    return WalRecord::Accept(9, Ballot(2, 1),
+                             Command::Put("key", std::string(value_len, 'v'),
+                                          kFirstClientId, 4));
+  };
+  Encoder sizer{Encoder::SizerTag{}};
+  EncodeWalRecord(make(0), sizer);
+  const size_t value_len = kBody - sizer.size() - 1;  // +1 varint byte
   std::vector<uint8_t> frame;
-  AppendWalFrame(WalRecord::Accept(3, Ballot(1, 0), Cmd("x")), &frame);
-  ASSERT_GT(frame.size(), 8u);  // 4B length + 4B crc at minimum
-  // Payload starts after the 4-byte length prefix.
+  AppendWalFrame(make(value_len), &frame);
+  ASSERT_EQ(frame.size(), 4 + 4 + kBody);
+
+  uint8_t* payload = frame.data() + 4;  // after the 4-byte length prefix
+  const size_t payload_size = frame.size() - 4;
   WalRecord rec;
-  ASSERT_TRUE(ParseWalPayload(frame.data() + 4, frame.size() - 4, &rec));
-  frame[frame.size() - 1] ^= 0xff;  // flip a bit in the encoded record
-  EXPECT_FALSE(ParseWalPayload(frame.data() + 4, frame.size() - 4, &rec));
+  ASSERT_TRUE(ParseWalPayload(payload, payload_size, &rec));
+  for (size_t at : {size_t{4}, 4 + kBody / 2, payload_size - 1}) {
+    payload[at] ^= 0x10;
+    EXPECT_FALSE(ParseWalPayload(payload, payload_size, &rec))
+        << "flip at payload byte " << at;
+    payload[at] ^= 0x10;
+  }
+  EXPECT_TRUE(ParseWalPayload(payload, payload_size, &rec));
   // Truncated payload must also fail (short read, not a crash).
-  EXPECT_FALSE(ParseWalPayload(frame.data() + 4, 3, &rec));
+  EXPECT_FALSE(ParseWalPayload(payload, 3, &rec));
 }
 
 TEST(WalCodecTest, SnapshotBlobRoundTripsAndDetectsCorruption) {
@@ -99,6 +119,119 @@ TEST(WalCodecTest, SnapshotBlobRoundTripsAndDetectsCorruption) {
 
   blob[blob.size() / 2] ^= 0x01;
   EXPECT_FALSE(ParseSnapshotBlob(blob.data(), blob.size()).has_value());
+}
+
+// --- CRC-32 and the pinned on-disk format ------------------------------
+
+/// Bit-at-a-time reflected CRC-32 (polynomial 0xEDB88320): the reference
+/// the table-driven Crc32 must reproduce exactly.
+uint32_t ReferenceCrc32(const uint8_t* p, size_t n) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> PseudoRandomBytes(size_t n, uint32_t seed) {
+  std::vector<uint8_t> out(n);
+  uint32_t x = seed | 1u;
+  for (uint8_t& b : out) {  // xorshift32
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<uint8_t>(x);
+  }
+  return out;
+}
+
+std::vector<uint8_t> FromHex(const std::string& hex) {
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<uint8_t>(std::stoul(hex.substr(i, 2), nullptr,
+                                                  16)));
+  }
+  return out;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(Crc32("", 0), 0u);
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  const std::vector<uint8_t> buf = PseudoRandomBytes(64 + 8, 7);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      ASSERT_EQ(Crc32(buf.data() + offset, len),
+                ReferenceCrc32(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  const std::vector<uint8_t> big = PseudoRandomBytes(1 << 20, 11);
+  EXPECT_EQ(Crc32(big.data(), big.size()),
+            ReferenceCrc32(big.data(), big.size()));
+}
+
+TEST(Crc32Test, ExtendSplitAtEveryPointMatchesOneShot) {
+  const std::vector<uint8_t> buf = PseudoRandomBytes(100, 3);
+  const uint32_t whole = Crc32(buf.data(), buf.size());
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    const uint32_t head = Crc32Extend(0, buf.data(), split);
+    EXPECT_EQ(Crc32Extend(head, buf.data() + split, buf.size() - split),
+              whole)
+        << "split at " << split;
+  }
+}
+
+TEST(WalCodecTest, GoldenFramesPinTheOnDiskBytes) {
+  // Hex of [u32 length][u32 crc][record] per frame, as written by the
+  // original byte-at-a-time CRC and scratch-buffer framing. WAL segments
+  // on disk are exactly these frames back to back, so any drift here
+  // strands existing data directories.
+  const Ballot ballot(5, 2);
+  const Command batch = BatchCommand::Wrap({
+      Command::Put("k1", "v1", kFirstClientId, 1),
+      Command::Put("k2", "v2", kFirstClientId, 2),
+      Command::Put("k3", "v3", kFirstClientId + 1, 1),
+  });
+  const std::string promise_hex =
+      "110000009c2048e001050000000000000002000000";
+  const std::string accept_hex =
+      "6200000074cbbfb4022a00000000000000050000000000000002000000030000"
+      "ffffffff00000000000000000302026b31027631000010000100000000000000"
+      "02026b3202763200001000020000000000000002026b33027633010010000100"
+      "000000000000";
+  const std::string commit_hex = "0d000000f55632b7032a00000000000000";
+
+  std::vector<uint8_t> frame;
+  AppendWalFrame(WalRecord::Promise(ballot), &frame);
+  EXPECT_EQ(frame, FromHex(promise_hex));
+  frame.clear();
+  AppendWalFrame(WalRecord::Accept(42, ballot, batch), &frame);
+  EXPECT_EQ(frame, FromHex(accept_hex));
+  frame.clear();
+  AppendWalFrame(WalRecord::Commit(42), &frame);
+  EXPECT_EQ(frame, FromHex(commit_hex));
+
+  // Appending to a non-empty buffer frames each record the same way.
+  std::vector<uint8_t> segment;
+  AppendWalFrame(WalRecord::Promise(ballot), &segment);
+  AppendWalFrame(WalRecord::Accept(42, ballot, batch), &segment);
+  AppendWalFrame(WalRecord::Commit(42), &segment);
+  EXPECT_EQ(segment, FromHex(promise_hex + accept_hex + commit_hex));
+
+  // And the golden bytes parse back to the records.
+  const std::vector<uint8_t> accept = FromHex(accept_hex);
+  WalRecord rec;
+  ASSERT_TRUE(ParseWalPayload(accept.data() + 4, accept.size() - 4, &rec));
+  EXPECT_EQ(rec.type, WalRecordType::kAccept);
+  EXPECT_EQ(rec.slot, 42);
+  EXPECT_EQ(rec.ballot, ballot);
+  EXPECT_EQ(rec.command, batch);
 }
 
 // --- MemStorage faults -------------------------------------------------
