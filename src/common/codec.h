@@ -81,9 +81,6 @@ class Encoder {
 
   void PutBool(bool b) { PutU8(b ? 1 : 0); }
 
-  /// Unprefixed bulk bytes (caller frames them; see net::AppendRawFrame).
-  void PutRaw(const uint8_t* data, size_t n) { Append(data, n); }
-
   /// Bytes appended through this encoder (in counting mode: the exact
   /// size a writing encoder would have produced).
   size_t size() const { return size_; }

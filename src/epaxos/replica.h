@@ -50,7 +50,7 @@ struct EPaxosOptions {
   /// workloads (short dep lists, no slow path) are proportionally
   /// cheaper. Defaults are calibrated against the paper's Paxi/Go
   /// implementation, which saturates a 25-node cluster near 1000 req/s
-  /// (see harness/calibration.h).
+  /// (see sim::DefaultReplicaCpu() in sim/cluster.cc).
   TimeNs attr_cost = 60 * kMicrosecond;        ///< Per instance table op.
   TimeNs exec_node_cost = 250 * kMicrosecond;  ///< Per graph node visited.
   TimeNs exec_edge_cost = 80 * kMicrosecond;   ///< Per dependency edge.

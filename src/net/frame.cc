@@ -13,14 +13,6 @@ void AppendFrame(const Message& msg, std::vector<uint8_t>* out) {
   msg.EncodeBody(enc);
 }
 
-void AppendRawFrame(const uint8_t* payload, size_t size,
-                    std::vector<uint8_t>* out) {
-  Encoder enc(*out);  // external mode: appends
-  enc.Reserve(kFrameHeaderBytes + size);
-  enc.PutU32(static_cast<uint32_t>(size));
-  enc.PutRaw(payload, size);
-}
-
 void FrameReader::Append(const uint8_t* data, size_t size) {
   // Compact before growing: once every complete frame has been consumed
   // the buffer resets for free; a large consumed prefix is trimmed so the

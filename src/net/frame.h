@@ -40,13 +40,6 @@ inline constexpr size_t kFrameHeaderBytes = 4;
 /// a single write.
 void AppendFrame(const Message& msg, std::vector<uint8_t>* out);
 
-/// Appends one frame holding an opaque payload (no message tag). The WAL
-/// (storage/) persists records through this so the on-disk segment format
-/// is literally the stream framing: [u32 LE length][payload], replayed
-/// with the same FrameReader that reassembles socket reads.
-void AppendRawFrame(const uint8_t* payload, size_t size,
-                    std::vector<uint8_t>* out);
-
 /// Incremental frame extractor over a stream of read() chunks.
 ///
 ///   reader.Append(bytes, n);                    // after each read()

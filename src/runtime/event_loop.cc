@@ -1,5 +1,6 @@
 #include "runtime/event_loop.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/logging.h"
@@ -19,7 +20,7 @@ TimeNs WallClock::Now() const {
 }
 
 /// Env implementation backing one EventLoop: Send goes through the
-/// pluggable Transport; timers live in the loop's table.
+/// pluggable Transport; timers live in the loop's queue.
 class EventLoop::LoopEnv final : public Env {
  public:
   LoopEnv(EventLoop* loop, Rng rng) : loop_(loop), rng_(rng) {}
@@ -32,18 +33,11 @@ class EventLoop::LoopEnv final : public Env {
   }
 
   TimerId SetTimer(TimeNs delay, std::function<void()> cb) override {
-    std::lock_guard<std::mutex> lock(loop_->mu_);
-    TimerId id = loop_->next_timer_id_++;
-    loop_->timers_.emplace(id,
-                           std::make_pair(Now() + delay, std::move(cb)));
-    loop_->cv_.notify_one();
-    return id;
+    return loop_->SetTimerAt(Now() + std::max<TimeNs>(delay, 0),
+                             std::move(cb));
   }
 
-  void CancelTimer(TimerId id) override {
-    std::lock_guard<std::mutex> lock(loop_->mu_);
-    loop_->timers_.erase(id);
-  }
+  void CancelTimer(TimerId id) override { loop_->CancelTimer(id); }
 
   Rng& rng() override { return rng_; }
 
@@ -86,25 +80,27 @@ std::vector<uint8_t> EventLoop::AcquireWireBuffer() {
 
 void EventLoop::Wake() { cv_.notify_all(); }
 
+void EventLoop::CancelTimer(TimerId id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  timers_.Cancel(id);
+}
+
 void EventLoop::StartActor() { actor_->OnStart(); }
 
 bool EventLoop::FireDueTimers() {
   bool fired = false;
   std::unique_lock<std::mutex> lock(mu_);
   const TimeNs now = Now();
-  for (auto it = timers_.begin(); it != timers_.end();) {
-    if (it->second.first <= now) {
-      auto cb = std::move(it->second.second);
-      it = timers_.erase(it);
-      lock.unlock();
-      cb();
-      lock.lock();
-      fired = true;
-      // Restart the scan: the callback may have mutated the timer map.
-      it = timers_.begin();
-    } else {
-      ++it;
-    }
+  TimeNs when = 0;
+  EventFn cb;
+  // Callbacks run unlocked and may arm or cancel timers; each pop sees
+  // the queue as they left it.
+  while (timers_.PopDue(now, &when, &cb)) {
+    lock.unlock();
+    cb();
+    cb.reset();
+    lock.lock();
+    fired = true;
   }
   return fired;
 }
@@ -137,22 +133,15 @@ void EventLoop::DispatchWire(NodeId from, const uint8_t* data,
   }
 }
 
-TimeNs EventLoop::NextTimerDeadline() const {
+TimeNs EventLoop::NextTimerDeadline() {
   std::lock_guard<std::mutex> lock(mu_);
-  TimeNs next = -1;
-  for (const auto& [_, t] : timers_) {
-    if (next < 0 || t.first < next) next = t.first;
-  }
-  return next;
+  return timers_.NextDeadline();
 }
 
 void EventLoop::WaitForWork(TimeNs max_wait) {
   std::unique_lock<std::mutex> lock(mu_);
   if (!mailbox_.empty()) return;
-  TimeNs next = -1;
-  for (const auto& [_, t] : timers_) {
-    if (next < 0 || t.first < next) next = t.first;
-  }
+  const TimeNs next = timers_.NextDeadline();
   TimeNs wait = max_wait;
   if (next >= 0) wait = std::min(wait, next - Now());
   if (wait <= 0) return;

@@ -3,8 +3,11 @@
 // EventLoop owns everything that used to be private to ThreadCluster's
 // per-node state: the inbound mailbox of encoded frames, the recycled
 // wire-buffer pool, the timer table, the per-actor Env and rng, and the
-// decode->OnMessage dispatch step. Transports differ only in how bytes
-// reach the loop:
+// decode->OnMessage dispatch step. The timer table is the simulator's
+// TimerQueue (common/timer_queue.h) under the loop mutex: ids are queue
+// keys, due timers fire earliest deadline first (ties in arm order), and
+// actor timers share it with TcpCluster's reconnect retries. Transports
+// differ only in how bytes reach the loop:
 //   * ThreadCluster pushes encoded buffers into the mailbox from sender
 //     threads (Deliver) and drives the loop with the blocking Run();
 //   * TcpCluster decodes straight off its sockets on the loop thread
@@ -16,14 +19,13 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/timer_queue.h"
 #include "consensus/env.h"
 #include "runtime/transport.h"
 
@@ -77,13 +79,27 @@ class EventLoop {
   /// Wakes a blocked WaitForWork/Run (used for shutdown).
   void Wake();
 
+  /// Arms `cb` to run on the loop thread once the clock reaches `when`;
+  /// the returned id is never kInvalidTimer. Env::SetTimer lands here.
+  template <typename F>
+  TimerId SetTimerAt(TimeNs when, F&& cb) {
+    std::lock_guard<std::mutex> lock(mu_);
+    const TimerId id = timers_.Add(when, std::forward<F>(cb));
+    cv_.notify_one();
+    return id;
+  }
+
+  /// Disarms a pending timer; no-op once it has fired.
+  void CancelTimer(TimerId id);
+
   // --- loop-thread driving -------------------------------------------------
 
   /// Calls Actor::OnStart. Must be the loop thread's first act.
   void StartActor();
 
-  /// Fires every timer whose deadline has passed. Returns true if any
-  /// fired (callbacks may enqueue more work, so callers re-check).
+  /// Fires every timer due by the present, earliest deadline first.
+  /// Returns true if any fired (callbacks may enqueue more work, so
+  /// callers re-check).
   bool FireDueTimers();
 
   /// Decodes and dispatches one queued mailbox entry; returns false when
@@ -96,7 +112,7 @@ class EventLoop {
   void DispatchWire(NodeId from, const uint8_t* data, size_t size);
 
   /// Earliest pending timer deadline, or -1 when no timer is armed.
-  TimeNs NextTimerDeadline() const;
+  TimeNs NextTimerDeadline();
 
   /// Blocks until mail arrives, the earliest timer is due, or `max_wait`
   /// elapses — whichever comes first. In-process driver only; socket
@@ -121,13 +137,11 @@ class EventLoop {
   const WallClock* clock_;
   std::unique_ptr<LoopEnv> env_;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Mail> mailbox_;
   std::vector<std::vector<uint8_t>> wire_pool_;
-  // timer id -> (deadline, callback)
-  std::map<TimerId, std::pair<TimeNs, std::function<void()>>> timers_;
-  TimerId next_timer_id_ = 1;
+  TimerQueue timers_;
 };
 
 }  // namespace pig::runtime

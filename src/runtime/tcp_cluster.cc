@@ -72,7 +72,6 @@ class TcpCluster::TcpNode final : public Transport {
   void OnFrame(Conn* c, const uint8_t* payload, size_t size);
   void SendOnLoop(NodeId to, const Message& msg);
   Conn* DialPeer(NodeId to);
-  void RetryConnects();
   void ScheduleReconnect(NodeId peer);
   ReconnectBackoff& BackoffFor(NodeId peer);
   void CloseConn(int fd);
@@ -266,14 +265,6 @@ TcpCluster::TcpNode::Conn* TcpCluster::TcpNode::DialPeer(NodeId to) {
   return raw;
 }
 
-void TcpCluster::TcpNode::RetryConnects() {
-  for (const auto& [peer, addr] : cluster_->peers_) {
-    (void)addr;
-    if (peer == id_ || outbound_.count(peer) != 0) continue;
-    DialPeer(peer);  // respects the per-peer backoff internally
-  }
-}
-
 ReconnectBackoff& TcpCluster::TcpNode::BackoffFor(NodeId peer) {
   auto it = backoff_.find(peer);
   if (it == backoff_.end()) {
@@ -287,7 +278,12 @@ ReconnectBackoff& TcpCluster::TcpNode::BackoffFor(NodeId peer) {
 }
 
 void TcpCluster::TcpNode::ScheduleReconnect(NodeId peer) {
-  BackoffFor(peer).NoteFailure(loop_.Now(), NextRand());
+  const TimeNs at = BackoffFor(peer).NoteFailure(loop_.Now(), NextRand());
+  // A later failure or an established connection makes this retry stale;
+  // DialPeer's CanAttempt gate then turns it into a no-op.
+  loop_.SetTimerAt(at, [this, peer]() {
+    if (outbound_.count(peer) == 0) DialPeer(peer);
+  });
 }
 
 void TcpCluster::TcpNode::CloseConn(int fd) {
@@ -478,16 +474,9 @@ void TcpCluster::TcpNode::DrainExternalSends() {
 }
 
 int TcpCluster::TcpNode::PollTimeoutMs() {
-  const TimeNs now = loop_.Now();
-  TimeNs next = loop_.NextTimerDeadline();
-  for (const auto& [peer, b] : backoff_) {
-    if (outbound_.count(peer) != 0) continue;
-    const TimeNs at = b.next_attempt_at();
-    if (at == 0) continue;  // no retry scheduled
-    if (next < 0 || at < next) next = at;
-  }
+  const TimeNs next = loop_.NextTimerDeadline();
   if (next < 0) return 100;
-  const TimeNs delta = next - now;
+  const TimeNs delta = next - loop_.Now();
   if (delta <= 0) return 0;
   return static_cast<int>(
       std::min<TimeNs>((delta + kMillisecond - 1) / kMillisecond, 100));
@@ -496,13 +485,18 @@ int TcpCluster::TcpNode::PollTimeoutMs() {
 void TcpCluster::TcpNode::LoopMain() {
   loop_thread_id_ = std::this_thread::get_id();
   loop_.StartActor();
+  // Dial every peer the actor's first sends did not; from here on a
+  // failed or dropped connection redials from a loop timer.
+  for (const auto& [peer, addr] : cluster_->peers_) {
+    (void)addr;
+    if (peer != id_ && outbound_.count(peer) == 0) DialPeer(peer);
+  }
   epoll_event events[64];
   while (alive_.load(std::memory_order_acquire)) {
     loop_.FireDueTimers();
     DrainExternalSends();
     while (loop_.DispatchQueuedMail()) {
     }
-    RetryConnects();
     FlushDirty();
     const int n = ::epoll_wait(epoll_fd_, events, 64, PollTimeoutMs());
     for (int i = 0; i < n; ++i) HandleEvent(events[i]);

@@ -11,11 +11,11 @@
 // opens with a NodeHello frame identifying itself. The accepting side
 // learns the dialer from that hello and routes replies back over the same
 // socket, which is how clients (absent from the static peer map) get
-// answered. Connects are nonblocking with exponential-backoff retry, and
-// a dropped connection is redialed the same way; output queued on a dead
-// connection is discarded whole — a frame is never resumed mid-way — and
-// the protocols' own retries/heartbeats recover, exactly the fail-silent
-// Env::Send contract.
+// answered. Connects are nonblocking with exponential-backoff retry, each
+// retry a timer on the node's own event loop, and a dropped connection is
+// redialed the same way; output queued on a dead connection is discarded
+// whole — a frame is never resumed mid-way — and the protocols' own
+// retries/heartbeats recover, exactly the fail-silent Env::Send contract.
 #pragma once
 
 #include <atomic>

@@ -42,8 +42,8 @@ struct CpuModel {
 };
 
 /// Calibrated so a 25-node Multi-Paxos saturates around 2000 req/s as in
-/// the paper (leader handles ~50 messages per request; see
-/// harness/calibration.h for the derivation).
+/// the paper (leader handles ~50 messages per request; the derivation is
+/// next to the definition in sim/cluster.cc).
 CpuModel DefaultReplicaCpu();
 
 /// Clients ran on larger instances and never saturate in the paper.

@@ -1,30 +1,25 @@
 // Discrete-event scheduler: the heart of the simulator.
 //
-// Events are closures ordered by (virtual time, insertion sequence), which
-// makes every run fully deterministic. Storage is a slab with a free list:
-// each pending event lives in a recycled slot and the closure sits inline
-// in the slot (SmallFn) instead of behind a std::function heap
-// allocation. An event's identity is its 64-bit key — insertion sequence
-// in the high bits, slot index in the low bits — so the key is at once
-// the deterministic tie-break, the O(1) cancellation handle, and the
-// generation check that detects stale heap entries (a slot's key changes
-// whenever it is reused; sequences never repeat). The binary heap holds
-// 16-byte (time, key) pairs; canceled entries are skipped lazily on pop
-// and compacted in bulk once they outnumber the live ones.
+// A virtual clock over the shared TimerQueue (common/timer_queue.h):
+// events are closures ordered by (virtual time, insertion sequence),
+// which makes every run fully deterministic. The scheduler adds only the
+// clock — events scheduled in the past run at now(), and running an
+// event advances now() to its time — plus the count of events executed.
 #pragma once
 
-#include <algorithm>
+#include <cassert>
 #include <cstdint>
+#include <limits>
 #include <utility>
-#include <vector>
 
 #include "common/small_fn.h"
+#include "common/timer_queue.h"
 #include "common/types.h"
 
 namespace pig::sim {
 
 /// Identifier of a scheduled event (never 0): (sequence << 22) | slot.
-using EventId = uint64_t;
+using EventId = TimerQueue::Key;
 
 class Scheduler {
  public:
@@ -35,15 +30,7 @@ class Scheduler {
   /// The closure is constructed directly into its slab slot.
   template <typename F>
   EventId ScheduleAt(TimeNs when, F&& fn) {
-    if (when < now_) when = now_;
-    const uint32_t index = AllocSlot();
-    Slot& slot = slots_[index];
-    slot.fn.emplace(std::forward<F>(fn));
-    const uint64_t key = (next_seq_++ << kSlotBits) | index;
-    slot.key = key;
-    HeapPush(HeapItem{when, key});
-    live_++;
-    return key;
+    return queue_.Add(when < now_ ? now_ : when, std::forward<F>(fn));
   }
 
   /// Schedules `fn` to run `delay` from now.
@@ -52,100 +39,56 @@ class Scheduler {
     return ScheduleAt(now_ + (delay < 0 ? 0 : delay), std::forward<F>(fn));
   }
 
-  /// Cancels a pending event; no-op if already fired or unknown. O(1):
-  /// frees the slot and leaves the heap entry to be skipped lazily.
-  void Cancel(EventId id);
+  /// Cancels a pending event; no-op if already fired or unknown. O(1).
+  void Cancel(EventId id) { queue_.Cancel(id); }
 
   /// Runs the next pending event. Returns false when none remain.
-  bool Step();
+  bool Step() { return RunNext(std::numeric_limits<TimeNs>::max()); }
 
   /// Runs all events with time <= `t`, then advances the clock to `t`.
   /// Returns the number of events executed.
-  uint64_t RunUntil(TimeNs t);
+  uint64_t RunUntil(TimeNs t) {
+    uint64_t ran = 0;
+    while (RunNext(t)) ran++;
+    if (now_ < t) now_ = t;
+    return ran;
+  }
 
   /// Runs for `d` of virtual time from now.
   uint64_t RunFor(TimeNs d) { return RunUntil(now_ + d); }
 
   /// Drains every pending event (use with care; timers may self-renew).
-  uint64_t RunAll();
+  uint64_t RunAll() {
+    uint64_t ran = 0;
+    while (Step()) ran++;
+    return ran;
+  }
 
-  bool empty() const { return live_ == 0; }
-  size_t pending() const { return live_; }
+  bool empty() const { return queue_.empty(); }
+  size_t pending() const { return queue_.size(); }
   uint64_t executed_count() const { return executed_; }
 
   /// Heap entries including not-yet-reclaimed canceled ones (compaction
   /// keeps this below ~2x pending; exposed for tests).
-  size_t heap_size() const { return heap_.size(); }
+  size_t heap_size() const { return queue_.heap_size(); }
 
  private:
-  /// Slot index width. Bounds concurrently-pending events to 4M; the
-  /// remaining 42 bits of sequence last ~5e12 events.
-  static constexpr uint32_t kSlotBits = 22;
-  static constexpr uint32_t kSlotMask = (1u << kSlotBits) - 1;
-  static constexpr uint32_t kNilIndex = 0xffffffffu;
-  /// Compaction is pointless below this heap size.
-  static constexpr size_t kCompactMinHeap = 64;
-
-  struct Slot {
+  /// Pops and runs the earliest live event due by `limit`, advancing the
+  /// clock to its time; false if none is due.
+  bool RunNext(TimeNs limit) {
+    TimeNs when = 0;
     EventFn fn;
-    uint64_t key = 0;  // current occupant's EventId; 0 = slot is free
-    uint32_t next_free = kNilIndex;
-  };
-
-  struct HeapItem {
-    TimeNs time;
-    uint64_t key;  // high bits = insertion seq: deterministic tie-break
-  };
-
-  /// Min-heap comparator for std::*_heap (which build max-heaps).
-  struct LaterOnHeap {
-    bool operator()(const HeapItem& a, const HeapItem& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.key > b.key;
-    }
-  };
-
-  bool IsLive(const HeapItem& item) const {
-    return slots_[item.key & kSlotMask].key == item.key;
+    if (!queue_.PopDue(limit, &when, &fn)) return false;
+    assert(when >= now_);
+    now_ = when;
+    executed_++;
+    fn();
+    return true;
   }
-
-  // Inline: called once per scheduled event from the ScheduleAt template.
-  uint32_t AllocSlot() {
-    if (free_head_ != kNilIndex) {
-      const uint32_t index = free_head_;
-      free_head_ = slots_[index].next_free;
-      return index;
-    }
-    const uint32_t index = static_cast<uint32_t>(slots_.size());
-    // Past kSlotMask the index would bleed into the key's sequence bits
-    // and silently corrupt cancellation, so the bound must hold in
-    // Release too. Checked only on slab growth — off the steady path.
-    if (index > kSlotMask) DieTooManyPendingEvents();
-    slots_.emplace_back();
-    return index;
-  }
-
-  void HeapPush(HeapItem item) {
-    heap_.push_back(item);
-    std::push_heap(heap_.begin(), heap_.end(), LaterOnHeap{});
-  }
-
-  [[noreturn]] static void DieTooManyPendingEvents();
-  /// Frees a slot back to the free list, invalidating its key.
-  void FreeSlot(uint32_t index);
-  /// Sweeps dead heap entries once they outnumber the live ones.
-  void MaybeCompact();
-  /// Pops and runs the earliest live event; false if heap exhausted.
-  bool PopAndRun();
 
   TimeNs now_ = 0;
-  uint64_t next_seq_ = 1;
   uint64_t executed_ = 0;
-  size_t live_ = 0;
-  size_t heap_dead_ = 0;  // canceled entries still sitting in heap_
-  std::vector<HeapItem> heap_;
-  std::vector<Slot> slots_;
-  uint32_t free_head_ = kNilIndex;
+  TimerQueue queue_;
 };
 
 }  // namespace pig::sim

@@ -110,10 +110,10 @@ struct SnapshotData {
 
 // --- Record / snapshot codec -------------------------------------------
 //
-// A WAL frame is net::AppendRawFrame framing ([u32 LE length][payload])
-// where payload = [u32 LE crc32][encoded record]; the crc covers the
-// encoded record bytes. Snapshots use the same payload shape in a single
-// frame. Shared by both implementations so fault-injection tests exercise
+// A WAL frame is [u32 LE length][payload], the stream framing of
+// net/frame.h, where payload = [u32 LE crc32][encoded record]; the crc
+// covers the encoded record bytes. Snapshots use the same payload shape in
+// a single frame. Shared by both implementations so fault-injection tests exercise
 // the exact bytes the file backend writes. Writers size a record with the
 // counting sizer and encode it in place; the byte format is pinned by a
 // golden fixture in tests/storage_test.cc.

@@ -155,8 +155,8 @@ std::vector<uint8_t> EncodeSnapshotBlob(const SnapshotData& snap) {
   EncodeSnapshot(snap, sizer);
   std::vector<uint8_t> blob;
   blob.reserve(kCrcBytes + sizer.size());  // the blob's one allocation
+  blob.resize(kCrcBytes);                  // zeroed crc placeholder
   Encoder enc(blob);
-  enc.PutU32(0);  // crc placeholder
   EncodeSnapshot(snap, enc);
   SealCrc(blob.data(), blob.size());
   return blob;

@@ -2,13 +2,16 @@
 // every hop, wall-clock timers, concurrent clients, all three protocols.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
+#include <vector>
 
 #include "epaxos/messages.h"
 #include "epaxos/replica.h"
 #include "paxos/replica.h"
 #include "pigpaxos/messages.h"
 #include "pigpaxos/replica.h"
+#include "runtime/event_loop.h"
 #include "runtime/thread_cluster.h"
 
 namespace pig {
@@ -224,6 +227,117 @@ TEST_F(RuntimeTest, StopIsIdempotentAndDestructorSafe) {
   cluster->Stop();
   cluster->Stop();  // no-op
   cluster.reset();  // destructor after Stop: no crash
+}
+
+// --- EventLoop timer table ------------------------------------------------
+// The loop is driven by hand: StartActor arms the timers, a sleep makes
+// them all due, and one FireDueTimers pass runs them.
+
+class NullTransport final : public runtime::Transport {
+ public:
+  void Send(NodeId, NodeId, MessagePtr) override {}
+};
+
+/// Arms timers from OnStart through its Env, like a protocol replica.
+class TimerActor final : public Actor {
+ public:
+  explicit TimerActor(std::function<void(Env*)> on_start)
+      : on_start_(std::move(on_start)) {}
+  void OnStart() override { on_start_(env_); }
+  void OnMessage(NodeId, const MessagePtr&) override {}
+
+ private:
+  std::function<void(Env*)> on_start_;
+};
+
+class EventLoopTimerTest : public ::testing::Test {
+ protected:
+  std::unique_ptr<runtime::EventLoop> MakeLoop(
+      std::function<void(Env*)> on_start) {
+    auto loop = std::make_unique<runtime::EventLoop>(
+        0, std::make_unique<TimerActor>(std::move(on_start)), &transport_,
+        &clock_, /*seed=*/1);
+    loop->StartActor();
+    return loop;
+  }
+
+  static void SleepUntilDue() {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+
+  NullTransport transport_;
+  runtime::WallClock clock_;
+};
+
+TEST_F(EventLoopTimerTest, DueTimersFireInDeadlineOrder) {
+  std::vector<int> fired;
+  auto loop = MakeLoop([&](Env* env) {
+    env->SetTimer(3 * kMillisecond, [&] { fired.push_back(3); });
+    env->SetTimer(1 * kMillisecond, [&] { fired.push_back(1); });
+    env->SetTimer(2 * kMillisecond, [&] { fired.push_back(2); });
+  });
+  SleepUntilDue();
+  EXPECT_TRUE(loop->FireDueTimers());
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(loop->NextTimerDeadline(), -1);
+}
+
+TEST_F(EventLoopTimerTest, EqualDeadlinesFireInArmOrder) {
+  std::vector<int> fired;
+  auto loop = MakeLoop([](Env*) {});
+  const TimeNs at = loop->Now() + kMillisecond;
+  for (int i = 0; i < 4; ++i) {
+    loop->SetTimerAt(at, [&fired, i] { fired.push_back(i); });
+  }
+  SleepUntilDue();
+  EXPECT_TRUE(loop->FireDueTimers());
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST_F(EventLoopTimerTest, CallbackCancelsDueSibling) {
+  std::vector<int> fired;
+  TimerId sibling = kInvalidTimer;
+  auto loop = MakeLoop([&](Env* env) {
+    env->SetTimer(1 * kMillisecond, [&fired, &sibling, env] {
+      fired.push_back(1);
+      env->CancelTimer(sibling);
+    });
+    sibling = env->SetTimer(2 * kMillisecond, [&] { fired.push_back(2); });
+  });
+  SleepUntilDue();
+  EXPECT_TRUE(loop->FireDueTimers());
+  EXPECT_EQ(fired, (std::vector<int>{1}));
+  EXPECT_EQ(loop->NextTimerDeadline(), -1);
+}
+
+TEST_F(EventLoopTimerTest, CancelAfterFireLeavesReusedSlotAlone) {
+  std::vector<int> fired;
+  TimerId first = kInvalidTimer;
+  auto loop = MakeLoop([&](Env* env) {
+    first = env->SetTimer(kMillisecond, [&] { fired.push_back(1); });
+  });
+  SleepUntilDue();
+  EXPECT_TRUE(loop->FireDueTimers());
+  Env* env = loop->actor()->env();
+  // Reuses the slot the fired timer just freed.
+  const TimerId second =
+      env->SetTimer(kMillisecond, [&] { fired.push_back(2); });
+  EXPECT_NE(second, kInvalidTimer);
+  EXPECT_NE(second, first);
+  env->CancelTimer(first);  // stale id: must not touch `second`
+  SleepUntilDue();
+  EXPECT_TRUE(loop->FireDueTimers());
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+}
+
+TEST_F(EventLoopTimerTest, NextDeadlineClearsWhenOnlyTimerIsCanceled) {
+  TimerId id = kInvalidTimer;
+  auto loop = MakeLoop(
+      [&](Env* env) { id = env->SetTimer(kSecond, [] {}); });
+  EXPECT_GE(loop->NextTimerDeadline(), kSecond);
+  loop->actor()->env()->CancelTimer(id);
+  EXPECT_EQ(loop->NextTimerDeadline(), -1);
+  EXPECT_FALSE(loop->FireDueTimers());
 }
 
 }  // namespace
