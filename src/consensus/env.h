@@ -57,6 +57,14 @@ class Env {
   /// pushing this node's simulated CPU availability forward. No-op on the
   /// threaded runtime where real CPU time is consumed instead.
   virtual void ChargeCpu(TimeNs cost) { (void)cost; }
+
+  /// The driver's current burst: one wake-up of the node's event loop,
+  /// that is, everything the actor does between two output flushes. The
+  /// value is nonzero and changes from one burst to the next, so two
+  /// calls that see the same value run in the same wake-up. 0 means the
+  /// driver does not say. Read-only; PigPaxos keys its relay picks on it
+  /// (pigpaxos/replica.h). Wrapping Envs must forward it.
+  virtual uint64_t burst() const { return 0; }
 };
 
 /// An event-driven participant: a replica or a benchmark client.

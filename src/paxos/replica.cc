@@ -1026,7 +1026,8 @@ void PaxosReplica::OnRetryTimeout() {
     p2a->slot = slot;
     p2a->command = e->command;
     p2a->commit_index = CommitIndex();
-    // A fresh FanOut re-picks random relays in PigPaxos (Fig. 5b).
+    // Retries run in a later burst than the first proposal, so PigPaxos
+    // re-picks random relays for them (Fig. 5b).
     FanOut(std::move(p2a), /*expects_response=*/true);
   }
   ArmRetryTimer();

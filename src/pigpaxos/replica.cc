@@ -56,6 +56,7 @@ void PigPaxosReplica::OnStart() {
   outstanding_relays_.clear();
   relay_watch_.clear();
   suspected_until_.clear();
+  relay_burst_ = 0;  // drops the cached relay picks
   if (relay_watch_timer_ != kInvalidTimer) {
     env_->CancelTimer(relay_watch_timer_);
     relay_watch_timer_ = kInvalidTimer;
@@ -86,6 +87,7 @@ void PigPaxosReplica::OnLeadershipChange(bool is_leader) {
   }
   outstanding_relays_.clear();
   relay_watch_.clear();
+  relay_burst_ = 0;
   if (relay_watch_timer_ != kInvalidTimer) {
     env_->CancelTimer(relay_watch_timer_);
     relay_watch_timer_ = kInvalidTimer;
@@ -106,6 +108,7 @@ void PigPaxosReplica::ReshuffleTick() {
 void PigPaxosReplica::ReshuffleGroups() {
   planner_.Reshuffle(env_->rng());
   relay_metrics_.reshuffles++;
+  relay_burst_ = 0;  // the cached picks came from the old groups
 }
 
 // ---------------------------------------------------------------------------
@@ -114,9 +117,19 @@ void PigPaxosReplica::ReshuffleGroups() {
 void PigPaxosReplica::FanOut(MessagePtr msg, bool expects_response) {
   relay_metrics_.fan_outs++;
   const auto& groups = planner_.groups();
+  const uint64_t burst = env_->burst();
+  if (burst != relay_burst_) {
+    relay_burst_ = burst;
+    burst_relays_.assign(groups.size(), kInvalidNode);
+  }
   for (size_t g = 0; g < groups.size(); ++g) {
     const std::vector<NodeId>& group = groups[g];
-    NodeId relay = PickLiveRelay(group);
+    // burst 0 (the driver does not say) picks per call.
+    NodeId relay = burst != 0 ? burst_relays_[g] : kInvalidNode;
+    if (relay == kInvalidNode || IsSuspected(relay)) {
+      relay = PickLiveRelay(group);
+      if (burst != 0) burst_relays_[g] = relay;
+    }
     auto req = MessagePool::Make<RelayRequest>();
     req->relay_id = next_relay_id_++;
     req->origin = id();

@@ -5,6 +5,17 @@
 // goes through one random relay per relay group; relays forward to their
 // group peers and aggregate the responses back to the leader, with a
 // tight timeout guarding against sluggish or crashed followers (§3.4).
+//
+// The paper draws the relay per communication round. Here a round is one
+// burst (Env::burst), one wake-up of the driver's event loop: the leader
+// caches its pick per group with the burst number, and every FanOut of
+// that burst reuses it unless the relay has been suspected since. Each
+// FanOut still has its own relay_id, relay-ack watch entry and
+// RelayRequest; only the choice of relay is shared, so the slots one
+// wake-up proposes leave as one coalesced write per relay. Retries and
+// the next wake-up draw afresh, so relay duty still rotates. The cache
+// is dropped on regrouping, step-down and restart. A driver whose
+// burst() is 0 gets a fresh pick per FanOut.
 #pragma once
 
 #include <cstdint>
@@ -208,6 +219,12 @@ class PigPaxosReplica : public PaxosReplica {
   std::deque<std::pair<TimeNs, uint64_t>> relay_watch_;  // (deadline, id)
   std::unordered_map<NodeId, TimeNs> suspected_until_;
   TimerId relay_watch_timer_ = kInvalidTimer;
+
+  // The relay picked for each group in burst `relay_burst_` (indexed
+  // like planner_.groups(); kInvalidNode = not picked yet). Setting
+  // relay_burst_ to 0 drops them: on regrouping, step-down and restart.
+  uint64_t relay_burst_ = 0;
+  std::vector<NodeId> burst_relays_;
 
   UplinkMap uplink_;
 };

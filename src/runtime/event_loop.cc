@@ -41,6 +41,8 @@ class EventLoop::LoopEnv final : public Env {
 
   Rng& rng() override { return rng_; }
 
+  uint64_t burst() const override { return loop_->burst_; }
+
  private:
   EventLoop* loop_;
   Rng rng_;
@@ -151,6 +153,8 @@ void EventLoop::WaitForWork(TimeNs max_wait) {
 void EventLoop::Run(const std::atomic<bool>& alive) {
   StartActor();
   while (alive.load(std::memory_order_acquire)) {
+    // Sends leave as they are made, so each step is its own burst.
+    EndBurst();
     if (FireDueTimers()) continue;
     if (DispatchQueuedMail()) continue;
     WaitForWork(/*max_wait=*/50 * kMillisecond);

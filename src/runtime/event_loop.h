@@ -2,11 +2,12 @@
 //
 // EventLoop owns everything that used to be private to ThreadCluster's
 // per-node state: the inbound mailbox of encoded frames, the recycled
-// wire-buffer pool, the timer table, the per-actor Env and rng, and the
-// decode->OnMessage dispatch step. The timer table is the simulator's
-// TimerQueue (common/timer_queue.h) under the loop mutex: ids are queue
-// keys, due timers fire earliest deadline first (ties in arm order), and
-// actor timers share it with TcpCluster's reconnect retries. Transports
+// wire-buffer pool, the timer table, the per-actor Env and rng, the burst
+// counter behind Env::burst, and the decode->OnMessage dispatch step.
+// The timer table is the simulator's TimerQueue (common/timer_queue.h)
+// under the loop mutex: ids are queue keys, due timers fire earliest
+// deadline first (ties in arm order), and actor timers share it with
+// TcpCluster's reconnect retries. Transports
 // differ only in how bytes reach the loop:
 //   * ThreadCluster pushes encoded buffers into the mailbox from sender
 //     threads (Deliver) and drives the loop with the blocking Run();
@@ -111,6 +112,11 @@ class EventLoop {
   /// connection buffer; copying them into Mail would be waste).
   void DispatchWire(NodeId from, const uint8_t* data, size_t size);
 
+  /// Closes the current burst (Env::burst): the next one starts with a
+  /// new number. Socket drivers call it once per wake-up, after their
+  /// output flush; Run() calls it once per step. Loop thread only.
+  void EndBurst() { ++burst_; }
+
   /// Earliest pending timer deadline, or -1 when no timer is armed.
   TimeNs NextTimerDeadline();
 
@@ -136,6 +142,7 @@ class EventLoop {
   Transport* transport_;
   const WallClock* clock_;
   std::unique_ptr<LoopEnv> env_;
+  uint64_t burst_ = 1;  // loop thread only; never 0 (Env::burst)
 
   std::mutex mu_;
   std::condition_variable cv_;

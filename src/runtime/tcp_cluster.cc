@@ -90,7 +90,9 @@ class TcpCluster::TcpNode final : public Transport {
   int event_fd_ = -1;
 
   std::thread thread_;
-  std::thread::id loop_thread_id_;
+  // Written by the loop thread as it starts, read by every Send caller
+  // (external threads too), hence atomic.
+  std::atomic<std::thread::id> loop_thread_id_;
   std::atomic<bool> alive_{false};
 
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;     // by fd
@@ -100,7 +102,10 @@ class TcpCluster::TcpNode final : public Transport {
   std::unordered_set<int> dirty_;  // conns with unflushed output
 
   std::mutex ext_mu_;
-  std::deque<std::pair<NodeId, MessagePtr>> external_sends_;
+  std::deque<std::pair<NodeId, MessagePtr>> external_sends_;  // ext_mu_
+  // Loop thread only: DrainExternalSends swaps the queue into it, so
+  // both deques keep their storage from one drain to the next.
+  std::deque<std::pair<NodeId, MessagePtr>> draining_;
 
   uint64_t rand_state_;
 };
@@ -175,15 +180,19 @@ void TcpCluster::TcpNode::WakeLoop() {
 
 void TcpCluster::TcpNode::Send(NodeId from, NodeId to, MessagePtr msg) {
   (void)from;  // always id_: each node is its own transport
-  if (std::this_thread::get_id() == loop_thread_id_) {
+  if (std::this_thread::get_id() == loop_thread_id_.load()) {
     SendOnLoop(to, *msg);
     return;
   }
+  bool was_empty = false;
   {
     std::lock_guard<std::mutex> lock(ext_mu_);
+    was_empty = external_sends_.empty();
     external_sends_.emplace_back(to, std::move(msg));
   }
-  WakeLoop();
+  // A non-empty queue has already woken the loop, and the loop drains
+  // the whole queue at once.
+  if (was_empty) WakeLoop();
 }
 
 void TcpCluster::TcpNode::SendOnLoop(NodeId to, const Message& msg) {
@@ -390,6 +399,10 @@ bool TcpCluster::TcpNode::HandleReadable(Conn* c) {
         CloseConn(c->fd);
         return false;
       }
+      // A short read drained the socket. Epoll is level-triggered, so
+      // bytes that arrive meanwhile wake the loop again; reading on to
+      // EAGAIN would cost one empty recv() per event.
+      if (static_cast<size_t>(n) < sizeof(buf)) return true;
       continue;
     }
     if (n == 0) {  // EOF: peer closed or crashed
@@ -465,12 +478,13 @@ void TcpCluster::TcpNode::HandleEvent(const epoll_event& ev) {
 }
 
 void TcpCluster::TcpNode::DrainExternalSends() {
-  std::deque<std::pair<NodeId, MessagePtr>> pending;
   {
     std::lock_guard<std::mutex> lock(ext_mu_);
-    pending.swap(external_sends_);
+    if (external_sends_.empty()) return;
+    draining_.swap(external_sends_);
   }
-  for (auto& [to, msg] : pending) SendOnLoop(to, *msg);
+  for (auto& [to, msg] : draining_) SendOnLoop(to, *msg);
+  draining_.clear();
 }
 
 int TcpCluster::TcpNode::PollTimeoutMs() {
@@ -483,7 +497,7 @@ int TcpCluster::TcpNode::PollTimeoutMs() {
 }
 
 void TcpCluster::TcpNode::LoopMain() {
-  loop_thread_id_ = std::this_thread::get_id();
+  loop_thread_id_.store(std::this_thread::get_id());
   loop_.StartActor();
   // Dial every peer the actor's first sends did not; from here on a
   // failed or dropped connection redials from a loop timer.
@@ -498,6 +512,8 @@ void TcpCluster::TcpNode::LoopMain() {
     while (loop_.DispatchQueuedMail()) {
     }
     FlushDirty();
+    // Everything since the last flush was one burst (Env::burst).
+    loop_.EndBurst();
     const int n = ::epoll_wait(epoll_fd_, events, 64, PollTimeoutMs());
     for (int i = 0; i < n; ++i) HandleEvent(events[i]);
   }

@@ -70,6 +70,7 @@ class ShardedNode final : public Actor {
     void CancelTimer(TimerId id) override { node_->env()->CancelTimer(id); }
     Rng& rng() override { return rng_; }
     void ChargeCpu(TimeNs cost) override { node_->env()->ChargeCpu(cost); }
+    uint64_t burst() const override { return node_->env()->burst(); }
 
     void SeedRng(Rng rng) { rng_ = rng; }
 

@@ -112,6 +112,13 @@ class Cluster::NodeEnv final : public Env {
     node_->busy_accum += cost;
   }
 
+  // Every scheduler event is its own burst. The scheduler counts an
+  // event before running it, so +1 keeps Start() (count 0) apart from
+  // the first event.
+  uint64_t burst() const override {
+    return cluster_->scheduler_.executed_count() + 1;
+  }
+
  private:
   Cluster* cluster_;
   Node* node_;

@@ -1,10 +1,14 @@
 // Regression tests for relay-layer fixes: constructor init-order (the
 // planner must be built from the moved-into options member), the empty
-// final RelayResponse after a relay timeout, and vote dedup when
-// overlapping groups deliver a follower's response twice.
+// final RelayResponse after a relay timeout, vote dedup when
+// overlapping groups deliver a follower's response twice, and the
+// leader's one-relay-per-group-per-burst choice.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <utility>
@@ -490,6 +494,179 @@ TEST(PigRegressionTest, OneWayDeadUplinkRelayIsSuspected) {
   cluster.RunFor(2 * kSecond);
   EXPECT_NE(prober->FindReply(seq2), nullptr);
   EXPECT_EQ(CheckLogConsistency(cluster, 9), "");
+}
+
+// ---------------------------------------------------------------------------
+// Relay choice per burst. The leader picks each group's relay once per
+// Env::burst() and every FanOut of that burst reuses it; a new burst, a
+// suspicion, or a regrouping forces a fresh pick, and burst 0 means the
+// driver does not say, so every FanOut picks afresh. A scripted Env
+// makes the burst, the clock and the timers the test's to drive.
+
+class ScriptedEnv final : public Env {
+ public:
+  NodeId self() const override { return 0; }
+  TimeNs Now() const override { return now; }
+  void Send(NodeId to, MessagePtr msg) override {
+    sent.emplace_back(to, std::move(msg));
+  }
+  TimerId SetTimer(TimeNs delay, std::function<void()> cb) override {
+    const TimerId id = next_timer_++;
+    timers_.emplace(id, Timer{now + delay, std::move(cb)});
+    return id;
+  }
+  void CancelTimer(TimerId id) override { timers_.erase(id); }
+  Rng& rng() override { return rng_; }
+  uint64_t burst() const override { return burst_no; }
+
+  /// Runs every timer due by `now`, in arm order.
+  void FireDue() {
+    for (auto it = timers_.begin(); it != timers_.end();) {
+      if (it->second.when > now) {
+        ++it;
+        continue;
+      }
+      std::function<void()> cb = std::move(it->second.cb);
+      it = timers_.erase(it);
+      cb();
+    }
+  }
+
+  TimeNs now = 0;
+  uint64_t burst_no = 1;
+  std::vector<std::pair<NodeId, MessagePtr>> sent;
+
+ private:
+  struct Timer {
+    TimeNs when;
+    std::function<void()> cb;
+  };
+  std::map<TimerId, Timer> timers_;
+  TimerId next_timer_ = 1;
+  Rng rng_{7};
+};
+
+// Exposes the protected FanOut so a test can propose rounds directly.
+class FanOutProbe final : public PigPaxosReplica {
+ public:
+  using PigPaxosReplica::FanOut;
+  using PigPaxosReplica::PigPaxosReplica;
+};
+
+struct FanOutResult {
+  std::vector<NodeId> relays;  // one per group, in group order
+  std::vector<uint64_t> relay_ids;
+};
+
+class BurstRelayTest : public ::testing::Test {
+ protected:
+  BurstRelayTest() : replica_(0, Options()) { replica_.Bind(&env_); }
+
+  static PigPaxosOptions Options() {
+    PigPaxosOptions opt;
+    opt.paxos.num_replicas = 9;
+    opt.num_relay_groups = 3;
+    return opt;
+  }
+
+  // One relay round; checks every envelope's relay and member list
+  // against the planner's current groups.
+  FanOutResult FanOut() {
+    env_.sent.clear();
+    auto p2a = std::make_shared<paxos::P2a>();
+    p2a->slot = next_slot_++;
+    replica_.FanOut(std::move(p2a), /*expects_response=*/true);
+    const auto& groups = replica_.planner().groups();
+    FanOutResult out;
+    EXPECT_EQ(env_.sent.size(), groups.size());
+    for (size_t g = 0; g < env_.sent.size() && g < groups.size(); ++g) {
+      const auto& [to, msg] = env_.sent[g];
+      EXPECT_EQ(msg->type(), MsgType::kRelayRequest);
+      const auto& req = static_cast<const RelayRequest&>(*msg);
+      std::multiset<NodeId> covered(req.members.begin(), req.members.end());
+      covered.insert(to);
+      EXPECT_EQ(covered,
+                std::multiset<NodeId>(groups[g].begin(), groups[g].end()))
+          << "group " << g << " sent to relay " << to;
+      out.relays.push_back(to);
+      out.relay_ids.push_back(req.relay_id);
+    }
+    return out;
+  }
+
+  ScriptedEnv env_;
+  FanOutProbe replica_;
+  SlotId next_slot_ = 0;
+};
+
+TEST_F(BurstRelayTest, FanOutsInOneBurstShareEachGroupsRelay) {
+  for (uint64_t burst = 1; burst <= 20; ++burst) {
+    env_.burst_no = burst;
+    const FanOutResult a = FanOut();
+    const FanOutResult b = FanOut();
+    EXPECT_EQ(a.relays, b.relays) << "burst " << burst;
+    // Only the relay is shared: each round keeps its own relay ids.
+    for (uint64_t id : a.relay_ids) {
+      EXPECT_EQ(std::count(b.relay_ids.begin(), b.relay_ids.end(), id), 0);
+    }
+  }
+  EXPECT_EQ(replica_.relay_metrics().fan_outs, 40u);
+}
+
+TEST_F(BurstRelayTest, EveryGroupMemberServesAsRelayOverManyBursts) {
+  const auto groups = replica_.planner().groups();
+  std::vector<std::set<NodeId>> served(groups.size());
+  for (uint64_t burst = 1; burst <= 200; ++burst) {
+    env_.burst_no = burst;
+    for (int round = 0; round < 2; ++round) {
+      const FanOutResult r = FanOut();
+      for (size_t g = 0; g < r.relays.size(); ++g) {
+        served[g].insert(r.relays[g]);
+      }
+    }
+  }
+  for (size_t g = 0; g < groups.size(); ++g) {
+    EXPECT_EQ(served[g], std::set<NodeId>(groups[g].begin(), groups[g].end()))
+        << "group " << g;
+  }
+}
+
+TEST_F(BurstRelayTest, BurstZeroPicksPerCall) {
+  env_.burst_no = 0;
+  size_t changed = 0;
+  FanOutResult prev = FanOut();
+  for (int i = 0; i < 50; ++i) {
+    FanOutResult next = FanOut();
+    if (next.relays != prev.relays) changed++;
+    prev = std::move(next);
+  }
+  // Per-call picks over groups of 3, 3 and 2 repeat all three relays
+  // with probability 1/18, so nearly every call changes some relay.
+  EXPECT_GT(changed, 40u);
+}
+
+TEST_F(BurstRelayTest, RelaySuspectedMidBurstIsNotReused) {
+  env_.burst_no = 5;
+  const FanOutResult first = FanOut();
+  // Nobody answers: the relay-ack watch suspects all three relays while
+  // the burst is still open (timers fire in the same wake-up as mail).
+  env_.now += replica_.DefaultRelayAckTimeout();
+  env_.FireDue();
+  ASSERT_EQ(replica_.relay_metrics().relays_suspected, 3u);
+  const FanOutResult second = FanOut();
+  for (size_t g = 0; g < first.relays.size(); ++g) {
+    EXPECT_NE(second.relays[g], first.relays[g]) << "group " << g;
+  }
+}
+
+TEST_F(BurstRelayTest, ReshuffleMidBurstPicksFromTheNewGroups) {
+  for (uint64_t burst = 1; burst <= 30; ++burst) {
+    env_.burst_no = burst;
+    FanOut();
+    replica_.ReshuffleGroups();
+    FanOut();  // checks each relay against the reshuffled groups
+  }
+  EXPECT_EQ(replica_.relay_metrics().reshuffles, 30u);
 }
 
 }  // namespace

@@ -307,7 +307,9 @@ TEST(SimDeterminismGoldenTest, ShardedCrashGroupLeaderClientCounters) {
   spec.schedule = {harness::CrashGroupLeaderEvent(500 * kMillisecond, 1)};
   const harness::RunResult r = harness::RunScenario(spec, cfg);
   EXPECT_GT(r.timeouts, 0u);
-  ExpectPinned(r, 6183, 8, 8, 1, 157601);
+  // The new leader re-proposes several slots in one simulated event, and
+  // those rounds share one relay tree (PigPaxos picks relays per burst).
+  ExpectPinned(r, 6186, 8, 8, 1, 157658);
 }
 
 TEST(SimDeterminismGoldenTest, EPaxosClientCounters) {
