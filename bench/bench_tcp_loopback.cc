@@ -13,10 +13,10 @@
 #include <memory>
 #include <string>
 
-#include "harness/local_cluster.h"
 #include "pigpaxos/messages.h"
 #include "pigpaxos/replica.h"
-#include "runtime/thread_cluster.h"
+#include "runtime/sync_client.h"
+#include "runtime/tcp_cluster.h"
 
 namespace pig {
 namespace {
@@ -36,8 +36,7 @@ void BM_TcpFig8Shape(benchmark::State& state) {
   int64_t committed = 0;
   int64_t verified = 0;
   for (auto _ : state) {
-    harness::LocalCluster cluster(harness::LocalRuntime::kTcp,
-                                  /*seed=*/42);
+    runtime::TcpCluster cluster(/*seed=*/42);
     for (NodeId i = 0; i < kNodes; ++i) {
       cluster.AddActor(i, MakeReplica(i));
     }

@@ -1,34 +1,28 @@
-// Quickstart: a 5-node PigPaxos key-value store on a real wall-clock
+// Quickstart: a 5-node PigPaxos key-value store on the wall-clock
 // runtime, driven by a blocking client.
 //
-//   $ ./examples/quickstart           # in-process threads (default)
-//   $ ./examples/quickstart tcp      # real loopback TCP sockets
+//   $ ./build/quickstart
 //
 // This exercises the full stack end to end: binary message codec on
-// every hop, relay-tree fan-out/fan-in, leader election, log execution,
-// and client redirects — with real threads and wall-clock timers, and
-// optionally real sockets (the same code; only the transport changes).
+// every hop, real loopback TCP sockets between the five in-process
+// nodes, relay-tree fan-out/fan-in, leader election, log execution, and
+// client redirects — with real threads and wall-clock timers.
 #include <cstdio>
-#include <cstring>
 
-#include "harness/local_cluster.h"
 #include "pigpaxos/messages.h"
 #include "pigpaxos/replica.h"
-#include "runtime/thread_cluster.h"
+#include "runtime/sync_client.h"
+#include "runtime/tcp_cluster.h"
 
 using namespace pig;
 
-int main(int argc, char** argv) {
-  harness::LocalRuntime runtime = harness::LocalRuntime::kThreads;
-  if (argc > 1 && std::strcmp(argv[1], "tcp") == 0) {
-    runtime = harness::LocalRuntime::kTcp;
-  }
-  // The threaded runtime decodes every message from bytes: register the
-  // decoders once per process.
+int main() {
+  // Every message is decoded from bytes: register the decoders once per
+  // process.
   pigpaxos::RegisterPigPaxosMessages();
 
   constexpr size_t kNodes = 5;
-  harness::LocalCluster cluster(runtime, /*seed=*/1);
+  runtime::TcpCluster cluster(/*seed=*/1);
 
   // Five replicas, two relay groups (the best small-cluster setting per
   // the paper's Fig. 10).
@@ -46,8 +40,7 @@ int main(int argc, char** argv) {
   cluster.AddActor(kFirstClientId, std::move(client));
 
   cluster.Start();
-  std::printf("5-node PigPaxos cluster started (2 relay groups, %s)\n",
-              harness::ToString(runtime));
+  std::printf("5-node PigPaxos cluster started (2 relay groups, tcp)\n");
 
   // Write a few keys.
   for (int i = 0; i < 5; ++i) {

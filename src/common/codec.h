@@ -9,8 +9,8 @@
 // so each message's EncodeBody is written once and drives all three:
 //   * owning   — appends to its own buffer (EncodeMessage),
 //   * external — appends into a caller-owned buffer whose capacity is
-//                reused across messages (the threaded runtime's per-node
-//                scratch), and
+//                reused across messages (the TCP runtime's connection
+//                buffers and self-send mailbox), and
 //   * counting — a size-only sink that touches no memory at all
 //                (Message::WireSize's counting sizer).
 #pragma once

@@ -3,15 +3,13 @@
 // Protocol replicas and clients are deterministic event-driven state
 // machines (Actor). They interact with the outside world only through Env:
 // sending messages, setting timers, reading the clock, and drawing random
-// numbers. Three drivers implement Env:
+// numbers. Two drivers implement Env:
 //   * sim::Cluster  — discrete-event simulation in virtual time (benches,
 //                     property tests; fully deterministic per seed);
-//   * runtime::ThreadCluster — real threads and wall-clock time over
-//                     in-process mailboxes (integration tests, examples);
-//   * runtime::TcpCluster — real sockets via epoll event loops, nodes
-//                     optionally in separate processes (pig_node).
-// The two wall-clock drivers share runtime::EventLoop and differ only in
-// their runtime::Transport.
+//   * runtime::TcpCluster — real threads, wall-clock time and real sockets
+//                     via one epoll event loop (runtime::EventLoop) per
+//                     node; nodes share one process (tests, examples,
+//                     benches) or run as separate pig_node processes.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +53,7 @@ class Env {
 
   /// Models extra CPU work (e.g. EPaxos dependency-graph execution) by
   /// pushing this node's simulated CPU availability forward. No-op on the
-  /// threaded runtime where real CPU time is consumed instead.
+  /// wall-clock runtime, where real CPU time is consumed instead.
   virtual void ChargeCpu(TimeNs cost) { (void)cost; }
 
   /// The driver's current burst: one wake-up of the node's event loop,

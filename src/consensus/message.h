@@ -2,7 +2,7 @@
 //
 // Every protocol message derives from Message and implements binary
 // encode/decode through common/codec.h. The simulated network charges
-// bandwidth/CPU using the real encoded size; the threaded runtime does a
+// bandwidth/CPU using the real encoded size; the wall-clock runtime does a
 // full encode/decode round trip, so serialization is always exercised.
 //
 // Byte accounting is allocation-free: WireSize() runs EncodeBody against

@@ -41,7 +41,7 @@ struct EPaxosOptions {
   size_t max_tracked_reads = 32;
 
   /// Simulated CPU cost knobs (consumed via Env::ChargeCpu; no-ops on the
-  /// threaded runtime). These model the per-instance bookkeeping the
+  /// wall-clock runtime). These model the per-instance bookkeeping the
   /// paper blames for EPaxos's early saturation ("conflict resolution
   /// phase draining the resources of every node", §5.4): interference
   /// lookups and dependency merging on every PreAccept/Accept/Commit at

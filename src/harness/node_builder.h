@@ -1,6 +1,6 @@
 // One node builder. PigPaxos swaps only the communication layer under an
 // unchanged Paxos core, so every driver (simulator harness, conformance
-// matrix, threaded and TCP runtimes, pig_node) builds its nodes from one
+// matrix, the TCP runtime's tests, pig_node) builds its nodes from one
 // ReplicaConfig through BuildNode: a flat Paxos, PigPaxos, EPaxos or Ring
 // replica, or a shard::ShardedNode hosting one replica per group.
 #pragma once

@@ -68,7 +68,7 @@ struct PaxosOptions {
   /// leader. PigPaxos reduces the leader's *communication*, but the
   /// decision work — processing N-1 votes per slot — stays (§6.3:
   /// "further adding to the leader's load is heavier message
-  /// processing"). No-op on the threaded runtime.
+  /// processing"). No-op on the wall-clock runtime.
   TimeNs vote_process_cost = 3 * kMicrosecond;
 
   /// Follower retry period for outstanding log-sync requests.

@@ -65,11 +65,8 @@ EventLoop::~EventLoop() = default;
 TimeNs EventLoop::Now() const { return clock_->Now(); }
 
 void EventLoop::Deliver(NodeId from, std::vector<uint8_t> wire) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    mailbox_.push_back(Mail{from, std::move(wire)});
-  }
-  cv_.notify_one();
+  std::lock_guard<std::mutex> lock(mu_);
+  mailbox_.push_back(Mail{from, std::move(wire)});
 }
 
 std::vector<uint8_t> EventLoop::AcquireWireBuffer() {
@@ -79,8 +76,6 @@ std::vector<uint8_t> EventLoop::AcquireWireBuffer() {
   wire_pool_.pop_back();
   return buf;
 }
-
-void EventLoop::Wake() { cv_.notify_all(); }
 
 void EventLoop::CancelTimer(TimerId id) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -138,27 +133,6 @@ void EventLoop::DispatchWire(NodeId from, const uint8_t* data,
 TimeNs EventLoop::NextTimerDeadline() {
   std::lock_guard<std::mutex> lock(mu_);
   return timers_.NextDeadline();
-}
-
-void EventLoop::WaitForWork(TimeNs max_wait) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!mailbox_.empty()) return;
-  const TimeNs next = timers_.NextDeadline();
-  TimeNs wait = max_wait;
-  if (next >= 0) wait = std::min(wait, next - Now());
-  if (wait <= 0) return;
-  cv_.wait_for(lock, std::chrono::nanoseconds(wait));
-}
-
-void EventLoop::Run(const std::atomic<bool>& alive) {
-  StartActor();
-  while (alive.load(std::memory_order_acquire)) {
-    // Sends leave as they are made, so each step is its own burst.
-    EndBurst();
-    if (FireDueTimers()) continue;
-    if (DispatchQueuedMail()) continue;
-    WaitForWork(/*max_wait=*/50 * kMillisecond);
-  }
 }
 
 }  // namespace pig::runtime

@@ -1,23 +1,21 @@
 // Transport-agnostic single-actor event loop.
 //
-// EventLoop owns everything that used to be private to ThreadCluster's
-// per-node state: the inbound mailbox of encoded frames, the recycled
-// wire-buffer pool, the timer table, the per-actor Env and rng, the burst
-// counter behind Env::burst, and the decode->OnMessage dispatch step.
-// The timer table is the simulator's TimerQueue (common/timer_queue.h)
-// under the loop mutex: ids are queue keys, due timers fire earliest
-// deadline first (ties in arm order), and actor timers share it with
-// TcpCluster's reconnect retries. Transports
-// differ only in how bytes reach the loop:
-//   * ThreadCluster pushes encoded buffers into the mailbox from sender
-//     threads (Deliver) and drives the loop with the blocking Run();
-//   * TcpCluster decodes straight off its sockets on the loop thread
-//     (DispatchWire) and interleaves FireDueTimers/DispatchQueuedMail
-//     with epoll_wait, using NextTimerDeadline for its poll timeout.
+// EventLoop owns one actor's per-node state: the self-send mailbox of
+// encoded frames and its recycled wire-buffer pool, the timer table, the
+// per-actor Env and rng, the burst counter behind Env::burst, and the
+// decode->OnMessage dispatch step. The timer table is the simulator's
+// TimerQueue (common/timer_queue.h) under the loop mutex: ids are queue
+// keys, due timers fire earliest deadline first (ties in arm order), and
+// actor timers share it with TcpCluster's reconnect retries.
+//
+// The loop neither blocks nor owns a thread; its driver does. TcpCluster
+// decodes straight off its sockets on the loop thread (DispatchWire),
+// queues self-sends through the mailbox (Deliver), and interleaves
+// FireDueTimers/DispatchQueuedMail with epoll_wait, using
+// NextTimerDeadline for its poll timeout.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -68,8 +66,8 @@ class EventLoop {
 
   // --- enqueue edges (callable from any thread) ----------------------------
 
-  /// Queues an encoded message for dispatch on the loop thread and wakes a
-  /// blocked WaitForWork.
+  /// Queues an encoded message for dispatch on the loop thread; the
+  /// driver drains it with DispatchQueuedMail.
   void Deliver(NodeId from, std::vector<uint8_t> wire);
 
   /// Pulls a drained buffer from this loop's recycle pool (empty vector if
@@ -77,17 +75,12 @@ class EventLoop {
   /// steady-state encode->decode round trip reuses capacity.
   std::vector<uint8_t> AcquireWireBuffer();
 
-  /// Wakes a blocked WaitForWork/Run (used for shutdown).
-  void Wake();
-
   /// Arms `cb` to run on the loop thread once the clock reaches `when`;
   /// the returned id is never kInvalidTimer. Env::SetTimer lands here.
   template <typename F>
   TimerId SetTimerAt(TimeNs when, F&& cb) {
     std::lock_guard<std::mutex> lock(mu_);
-    const TimerId id = timers_.Add(when, std::forward<F>(cb));
-    cv_.notify_one();
-    return id;
+    return timers_.Add(when, std::forward<F>(cb));
   }
 
   /// Disarms a pending timer; no-op once it has fired.
@@ -113,21 +106,12 @@ class EventLoop {
   void DispatchWire(NodeId from, const uint8_t* data, size_t size);
 
   /// Closes the current burst (Env::burst): the next one starts with a
-  /// new number. Socket drivers call it once per wake-up, after their
-  /// output flush; Run() calls it once per step. Loop thread only.
+  /// new number. The driver calls it once per wake-up, after its output
+  /// flush. Loop thread only.
   void EndBurst() { ++burst_; }
 
   /// Earliest pending timer deadline, or -1 when no timer is armed.
   TimeNs NextTimerDeadline();
-
-  /// Blocks until mail arrives, the earliest timer is due, or `max_wait`
-  /// elapses — whichever comes first. In-process driver only; socket
-  /// drivers block in epoll instead.
-  void WaitForWork(TimeNs max_wait);
-
-  /// Full fire-timers / dispatch / sleep cycle (including StartActor)
-  /// until `alive` clears. ThreadCluster runs this as the node thread.
-  void Run(const std::atomic<bool>& alive);
 
  private:
   class LoopEnv;
@@ -145,7 +129,6 @@ class EventLoop {
   uint64_t burst_ = 1;  // loop thread only; never 0 (Env::burst)
 
   std::mutex mu_;
-  std::condition_variable cv_;
   std::deque<Mail> mailbox_;
   std::vector<std::vector<uint8_t>> wire_pool_;
   TimerQueue timers_;

@@ -33,8 +33,8 @@
 #include "harness/node_builder.h"
 #include "harness/scenario_config.h"
 #include "pigpaxos/messages.h"
+#include "runtime/sync_client.h"
 #include "runtime/tcp_cluster.h"
-#include "runtime/thread_cluster.h"
 #include "shard/messages.h"
 #include "storage/file_storage.h"
 

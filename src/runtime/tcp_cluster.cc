@@ -31,9 +31,9 @@ void SetNoDelay(int fd) {
 }  // namespace
 
 /// One locally hosted node: an EventLoop driven by an epoll thread over
-/// nonblocking sockets. Implements Transport for its own loop only —
-/// unlike ThreadCluster there is no shared-memory shortcut between local
-/// nodes; everything goes through real sockets.
+/// nonblocking sockets. Implements Transport for its own loop only:
+/// there is no shared-memory shortcut between local nodes; everything
+/// but a self-send goes through real sockets.
 class TcpCluster::TcpNode final : public Transport {
  public:
   TcpNode(TcpCluster* cluster, NodeId id, std::unique_ptr<Actor> actor,

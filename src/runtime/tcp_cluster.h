@@ -4,8 +4,8 @@
 // thread over real nonblocking loopback/LAN sockets, with length-prefixed
 // framing (net/frame.h). Remote actors live in other processes (pig_node,
 // src/runtime/node_main.cc) and are declared with AddPeer. The cluster
-// can also host all nodes in one process — the cross-runtime equivalence
-// tests and the loopback bench do exactly that.
+// can also host all nodes in one process — the runtime tests, the
+// examples and the loopback benches do exactly that.
 //
 // Connection model: every node dials every peer in its address map and
 // opens with a NodeHello frame identifying itself. The accepting side

@@ -1,12 +1,10 @@
 // Transport seam of the runtime layer.
 //
-// An EventLoop executes one actor; a Transport moves encoded messages
-// between loops. Splitting the two lets the same mailbox/timer/decode
-// machinery back both wall-clock runtimes:
-//   * ThreadCluster — in-process handoff into the destination loop's
-//     mailbox, recycling the destination's pooled wire buffers, and
-//   * TcpCluster    — length-prefixed frames over nonblocking sockets
-//     (src/net/frame.h).
+// An EventLoop executes one actor; a Transport moves its outbound
+// messages. The wall-clock runtime's transport is TcpCluster's per-node
+// socket layer: length-prefixed frames over nonblocking sockets
+// (src/net/frame.h). The seam lets a test drive a loop against a fake
+// transport, and leaves a driver free to host several loops per thread.
 #pragma once
 
 #include "consensus/env.h"

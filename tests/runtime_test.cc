@@ -1,5 +1,6 @@
-// Integration tests for the real-thread runtime: full encode/decode on
-// every hop, wall-clock timers, concurrent clients, all three protocols.
+// Integration tests for the wall-clock runtime (TcpCluster, all nodes in
+// one process over loopback sockets): full encode/decode on every hop,
+// wall-clock timers, concurrent clients, all three protocols.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -12,7 +13,8 @@
 #include "pigpaxos/messages.h"
 #include "pigpaxos/replica.h"
 #include "runtime/event_loop.h"
-#include "runtime/thread_cluster.h"
+#include "runtime/sync_client.h"
+#include "runtime/tcp_cluster.h"
 
 namespace pig {
 namespace {
@@ -25,8 +27,8 @@ class RuntimeTest : public ::testing::Test {
   }
 };
 
-TEST_F(RuntimeTest, PaxosPutGetOverThreads) {
-  runtime::ThreadCluster cluster(/*seed=*/1);
+TEST_F(RuntimeTest, PaxosPutGetOverTcp) {
+  runtime::TcpCluster cluster(/*seed=*/1);
   paxos::PaxosOptions opt;
   opt.num_replicas = 3;
   for (NodeId i = 0; i < 3; ++i) {
@@ -45,8 +47,8 @@ TEST_F(RuntimeTest, PaxosPutGetOverThreads) {
   cluster.Stop();
 }
 
-TEST_F(RuntimeTest, PigPaxosPutGetOverThreads) {
-  runtime::ThreadCluster cluster(/*seed=*/2);
+TEST_F(RuntimeTest, PigPaxosPutGetOverTcp) {
+  runtime::TcpCluster cluster(/*seed=*/2);
   pigpaxos::PigPaxosOptions opt;
   opt.paxos.num_replicas = 5;
   opt.num_relay_groups = 2;
@@ -80,8 +82,8 @@ TEST_F(RuntimeTest, PigPaxosPutGetOverThreads) {
   EXPECT_GT(relays, 0u);
 }
 
-TEST_F(RuntimeTest, EPaxosPutGetOverThreads) {
-  runtime::ThreadCluster cluster(/*seed=*/3);
+TEST_F(RuntimeTest, EPaxosPutGetOverTcp) {
+  runtime::TcpCluster cluster(/*seed=*/3);
   epaxos::EPaxosOptions opt;
   opt.num_replicas = 3;
   for (NodeId i = 0; i < 3; ++i) {
@@ -99,25 +101,30 @@ TEST_F(RuntimeTest, EPaxosPutGetOverThreads) {
   cluster.Stop();
 }
 
-TEST_F(RuntimeTest, RedirectsFollowedAcrossThreads) {
-  runtime::ThreadCluster cluster(/*seed=*/4);
+TEST_F(RuntimeTest, RedirectsFollowedAcrossNodes) {
+  runtime::TcpCluster cluster(/*seed=*/4);
   paxos::PaxosOptions opt;
   opt.num_replicas = 3;
+  // SyncClient starts by contacting node 0, a follower here: the write
+  // only lands if the client follows node 0's NotLeader hint to node 2.
+  opt.bootstrap_leader = 2;
   for (NodeId i = 0; i < 3; ++i) {
     cluster.AddActor(i, std::make_unique<paxos::PaxosReplica>(i, opt));
   }
   auto client = std::make_unique<runtime::SyncClient>(3);
   runtime::SyncClient* kv = client.get();
-  // SyncClient starts by contacting node 0; after this write we verify a
-  // second client that starts at a follower still succeeds via redirect.
   cluster.AddActor(kFirstClientId, std::move(client));
   cluster.Start();
   ASSERT_TRUE(kv->Execute(OpType::kPut, "r", "1").ok());
   cluster.Stop();
+
+  const auto* follower =
+      static_cast<const paxos::PaxosReplica*>(cluster.actor(0));
+  EXPECT_GE(follower->metrics().redirects, 1u);
 }
 
 TEST_F(RuntimeTest, ConcurrentClientsSerialize) {
-  runtime::ThreadCluster cluster(/*seed=*/5);
+  runtime::TcpCluster cluster(/*seed=*/5);
   paxos::PaxosOptions opt;
   opt.num_replicas = 3;
   for (NodeId i = 0; i < 3; ++i) {
@@ -164,7 +171,7 @@ TEST_F(RuntimeTest, CrashedLeaderRedirectReprobes) {
   // 0 until a new leader is elected; the client must treat the silent
   // node as suspect, keep probing the survivors, and eventually land on
   // the new leader instead of bouncing to the corpse until timeout.
-  runtime::ThreadCluster cluster(/*seed=*/7);
+  runtime::TcpCluster cluster(/*seed=*/7);
   paxos::PaxosOptions opt;
   opt.num_replicas = 3;
   for (NodeId i = 0; i < 3; ++i) {
@@ -194,7 +201,7 @@ TEST_F(RuntimeTest, CrashedLeaderRedirectReprobes) {
 TEST_F(RuntimeTest, RestartedNodeRejoins) {
   // StopNode + RestartNode: a fresh replica in an old slot recovers via
   // the protocol (LogSync) and the cluster keeps serving.
-  runtime::ThreadCluster cluster(/*seed=*/8);
+  runtime::TcpCluster cluster(/*seed=*/8);
   paxos::PaxosOptions opt;
   opt.num_replicas = 3;
   for (NodeId i = 0; i < 3; ++i) {
@@ -219,7 +226,7 @@ TEST_F(RuntimeTest, RestartedNodeRejoins) {
 }
 
 TEST_F(RuntimeTest, StopIsIdempotentAndDestructorSafe) {
-  auto cluster = std::make_unique<runtime::ThreadCluster>(6);
+  auto cluster = std::make_unique<runtime::TcpCluster>(6);
   paxos::PaxosOptions opt;
   opt.num_replicas = 1;
   cluster->AddActor(0, std::make_unique<paxos::PaxosReplica>(0, opt));

@@ -1,8 +1,8 @@
-// Sharded runtime integration: ShardedNode + SyncClient over the
-// real-thread runtime, with full envelope encode/decode on every hop.
-// Uses the pig_node --num-groups node assembly (harness::BuildNode),
-// minus the sockets, which tcp_runtime_test and run_tcp_cluster.sh
-// --groups cover.
+// Sharded runtime integration: ShardedNode + SyncClient over the TCP
+// runtime in one process, with full envelope encode/decode on every hop.
+// Uses the pig_node --num-groups node assembly (harness::BuildNode);
+// run_tcp_cluster.sh --groups runs the same assembly as separate
+// processes.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -12,7 +12,8 @@
 #include "harness/node_builder.h"
 #include "paxos/replica.h"
 #include "pigpaxos/messages.h"
-#include "runtime/thread_cluster.h"
+#include "runtime/sync_client.h"
+#include "runtime/tcp_cluster.h"
 #include "shard/messages.h"
 #include "shard/router.h"
 #include "shard/sharded_node.h"
@@ -41,8 +42,8 @@ class ShardRuntimeTest : public ::testing::Test {
   }
 };
 
-TEST_F(ShardRuntimeTest, ShardedPutGetOverThreads) {
-  runtime::ThreadCluster cluster(/*seed=*/7);
+TEST_F(ShardRuntimeTest, ShardedPutGetOverTcp) {
+  runtime::TcpCluster cluster(/*seed=*/7);
   for (NodeId i = 0; i < kNodes; ++i) {
     cluster.AddActor(i, MakeNode(i));
   }
