@@ -10,7 +10,7 @@
 //   * owning   — appends to its own buffer (EncodeMessage),
 //   * external — appends into a caller-owned buffer whose capacity is
 //                reused across messages (the TCP runtime's connection
-//                buffers and self-send mailbox), and
+//                buffers), and
 //   * counting — a size-only sink that touches no memory at all
 //                (Message::WireSize's counting sizer).
 #pragma once

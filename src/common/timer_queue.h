@@ -1,8 +1,8 @@
 // The timer queue of every driver: closures ordered by (deadline,
 // insertion sequence). It has no clock — callers add entries at absolute
 // times and pop the earliest one due by a time of their choosing —
-// so sim::Scheduler runs it on virtual time and runtime::EventLoop on the
-// wall clock.
+// so sim::Scheduler runs it on virtual time and each runtime::TcpCluster
+// node on the wall clock. It takes no lock: one thread owns each queue.
 //
 // Storage is a slab with a free list: each pending entry lives in a
 // recycled slot and its closure sits inline in the slot (SmallFn) instead

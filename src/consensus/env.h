@@ -6,9 +6,9 @@
 // numbers. Two drivers implement Env:
 //   * sim::Cluster  — discrete-event simulation in virtual time (benches,
 //                     property tests; fully deterministic per seed);
-//   * runtime::TcpCluster — real threads, wall-clock time and real sockets
-//                     via one epoll event loop (runtime::EventLoop) per
-//                     node; nodes share one process (tests, examples,
+//   * runtime::TcpCluster — real threads, wall-clock time and real sockets;
+//                     each node is an Env driven by its own epoll loop
+//                     thread; nodes share one process (tests, examples,
 //                     benches) or run as separate pig_node processes.
 #pragma once
 

@@ -8,33 +8,35 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <functional>
+#include <mutex>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/rng.h"
+#include "common/timer_queue.h"
 #include "net/frame.h"
 #include "runtime/reconnect_backoff.h"
 
 namespace pig::runtime {
 
-namespace {
+using std::chrono::steady_clock;
 
-void SetNoDelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-}  // namespace
-
-/// One locally hosted node: an EventLoop driven by an epoll thread over
-/// nonblocking sockets. Implements Transport for its own loop only:
-/// there is no shared-memory shortcut between local nodes; everything
-/// but a self-send goes through real sockets.
-class TcpCluster::TcpNode final : public Transport {
+/// One locally hosted node: the actor's Env, driven by an epoll thread
+/// over nonblocking sockets. There is no shared-memory shortcut between
+/// local nodes; everything but a self-send goes through real sockets.
+///
+/// The actor's Env calls and the loop's own work run on the loop thread
+/// only, so timers, self-mail, connections and the burst counter take no
+/// lock (Env is driven by exactly one thread). Send is the exception: it
+/// also accepts external threads (SyncClient) through a locked queue
+/// that wakes the loop via eventfd.
+class TcpCluster::TcpNode final : public Env {
  public:
   TcpNode(TcpCluster* cluster, NodeId id, std::unique_ptr<Actor> actor,
           uint16_t port);
@@ -44,11 +46,18 @@ class TcpCluster::TcpNode final : public Transport {
   void Stop();
 
   uint16_t port() const { return port_; }
-  Actor* actor() { return loop_.actor(); }
+  Actor* actor() { return actor_.get(); }
 
-  // Transport. Loop-thread sends append to connection buffers directly;
-  // external threads (SyncClient) enqueue and wake the loop via eventfd.
-  void Send(NodeId from, NodeId to, MessagePtr msg) override;
+  // Env.
+  NodeId self() const override { return id_; }
+  TimeNs Now() const override { return cluster_->Now(); }
+  void Send(NodeId to, MessagePtr msg) override;
+  TimerId SetTimer(TimeNs delay, std::function<void()> cb) override {
+    return timers_.Add(Now() + std::max<TimeNs>(delay, 0), std::move(cb));
+  }
+  void CancelTimer(TimerId id) override { timers_.Cancel(id); }
+  Rng& rng() override { return rng_; }
+  uint64_t burst() const override { return burst_; }
 
  private:
   struct Conn {
@@ -57,25 +66,32 @@ class TcpCluster::TcpNode final : public Transport {
     bool outbound = false;
     bool connecting = false;  // nonblocking connect still in flight
     bool epollout = false;    // EPOLLOUT currently armed
+    bool dirty = false;       // listed in dirty_ (unflushed output)
     net::FrameReader reader;
     std::vector<uint8_t> out;  // encoded frames awaiting write
     size_t out_pos = 0;
   };
 
   void LoopMain();
+  void FireDueTimers();
+  void DispatchSelfMail();
   void HandleEvent(const epoll_event& ev);
   void AcceptAll();
   /// Returns false when the connection was closed underneath the caller.
   bool HandleReadable(Conn* c);
   bool FlushConn(Conn* c);
+  void MarkDirty(Conn* c);
   void FlushDirty();
   void OnFrame(Conn* c, const uint8_t* payload, size_t size);
-  void SendOnLoop(NodeId to, const Message& msg);
+  void SendOnLoop(NodeId to, MessagePtr msg);
   Conn* DialPeer(NodeId to);
+  /// Registers a fresh socket with epoll (EPOLLOUT too while connecting).
+  Conn* AddConn(int fd, bool connecting);
   void ScheduleReconnect(NodeId peer);
   ReconnectBackoff& BackoffFor(NodeId peer);
   void CloseConn(int fd);
   void SetEpollOut(Conn* c, bool want);
+  void EpollCtl(int op, int fd, uint32_t events);
   void DrainExternalSends();
   int PollTimeoutMs();
   void WakeLoop();
@@ -83,7 +99,10 @@ class TcpCluster::TcpNode final : public Transport {
 
   TcpCluster* cluster_;
   const NodeId id_;
-  EventLoop loop_;
+  Rng rng_;
+  uint64_t burst_ = 1;  // never 0 (Env::burst)
+  TimerQueue timers_;
+  std::unique_ptr<Actor> actor_;
   uint16_t port_ = 0;
   int epoll_fd_ = -1;
   int listen_fd_ = -1;
@@ -95,11 +114,16 @@ class TcpCluster::TcpNode final : public Transport {
   std::atomic<std::thread::id> loop_thread_id_;
   std::atomic<bool> alive_{false};
 
+  // Self-sends, dispatched by LoopMain once the sending handler returns.
+  std::deque<MessagePtr> self_mail_;
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;     // by fd
   std::unordered_map<NodeId, Conn*> outbound_;               // dialed
   std::unordered_map<NodeId, Conn*> inbound_route_;          // hello'd
   std::unordered_map<NodeId, ReconnectBackoff> backoff_;
-  std::unordered_set<int> dirty_;  // conns with unflushed output
+  // Fds of conns with unflushed output, each listed once (Conn::dirty).
+  // An fd whose conn was closed since is skipped, or, if the fd was
+  // reused, resolves to a conn that is flushed only if it is dirty itself.
+  std::vector<int> dirty_;
 
   std::mutex ext_mu_;
   std::deque<std::pair<NodeId, MessagePtr>> external_sends_;  // ext_mu_
@@ -114,8 +138,10 @@ TcpCluster::TcpNode::TcpNode(TcpCluster* cluster, NodeId id,
                              std::unique_ptr<Actor> actor, uint16_t port)
     : cluster_(cluster),
       id_(id),
-      loop_(id, std::move(actor), this, &cluster->clock_, cluster->seed_),
+      rng_(cluster->seed_ ^ (0x9e3779b97f4a7c15ull * (id + 1))),
+      actor_(std::move(actor)),
       rand_state_(cluster->seed_ ^ (0x2545f4914f6cdd1dull * (id + 1))) {
+  actor_->Bind(this);
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   event_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   listen_fd_ =
@@ -136,21 +162,12 @@ TcpCluster::TcpNode::TcpNode(TcpCluster* cluster, NodeId id,
       0) {
     port_ = ntohs(sa.sin_port);
   }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.fd = event_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
+  EpollCtl(EPOLL_CTL_ADD, listen_fd_, EPOLLIN);
+  EpollCtl(EPOLL_CTL_ADD, event_fd_, EPOLLIN);
 }
 
 TcpCluster::TcpNode::~TcpNode() {
-  Stop();
-  for (auto& [fd, conn] : conns_) {
-    (void)conn;
-    ::close(fd);
-  }
-  if (listen_fd_ >= 0) ::close(listen_fd_);
+  Stop();  // closes the listen socket; the loop closed its connections
   if (event_fd_ >= 0) ::close(event_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
@@ -164,6 +181,11 @@ void TcpCluster::TcpNode::Stop() {
   alive_.store(false, std::memory_order_release);
   WakeLoop();
   if (thread_.joinable()) thread_.join();
+  // Like a killed process, a stopped node refuses new connections.
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
 }
 
 uint64_t TcpCluster::TcpNode::NextRand() {
@@ -178,10 +200,9 @@ void TcpCluster::TcpNode::WakeLoop() {
   [[maybe_unused]] ssize_t n = ::write(event_fd_, &one, sizeof(one));
 }
 
-void TcpCluster::TcpNode::Send(NodeId from, NodeId to, MessagePtr msg) {
-  (void)from;  // always id_: each node is its own transport
+void TcpCluster::TcpNode::Send(NodeId to, MessagePtr msg) {
   if (std::this_thread::get_id() == loop_thread_id_.load()) {
-    SendOnLoop(to, *msg);
+    SendOnLoop(to, std::move(msg));
     return;
   }
   bool was_empty = false;
@@ -195,12 +216,9 @@ void TcpCluster::TcpNode::Send(NodeId from, NodeId to, MessagePtr msg) {
   if (was_empty) WakeLoop();
 }
 
-void TcpCluster::TcpNode::SendOnLoop(NodeId to, const Message& msg) {
+void TcpCluster::TcpNode::SendOnLoop(NodeId to, MessagePtr msg) {
   if (to == id_) {
-    // Self-send: through the loop's own mailbox, like any other message.
-    std::vector<uint8_t> wire = loop_.AcquireWireBuffer();
-    EncodeMessageTo(msg, &wire);
-    loop_.Deliver(id_, std::move(wire));
+    self_mail_.push_back(std::move(msg));
     return;
   }
   Conn* c = nullptr;
@@ -219,14 +237,13 @@ void TcpCluster::TcpNode::SendOnLoop(NodeId to, const Message& msg) {
   if (c->out.size() - c->out_pos > cluster_->options_.max_queued_bytes) {
     return;  // peer down long enough that its queue is full: drop
   }
-  net::AppendFrame(msg, &c->out);
-  dirty_.insert(c->fd);
+  net::AppendFrame(*msg, &c->out);
+  MarkDirty(c);
 }
 
 TcpCluster::TcpNode::Conn* TcpCluster::TcpNode::DialPeer(NodeId to) {
-  const TimeNs now = loop_.Now();
   auto at = backoff_.find(to);
-  if (at != backoff_.end() && !at->second.CanAttempt(now)) return nullptr;
+  if (at != backoff_.end() && !at->second.CanAttempt(Now())) return nullptr;
   const PeerAddr& addr = cluster_->peers_.at(to);
   int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
@@ -241,7 +258,6 @@ TcpCluster::TcpNode::Conn* TcpCluster::TcpNode::DialPeer(NodeId to) {
     ScheduleReconnect(to);
     return nullptr;
   }
-  SetNoDelay(fd);
   int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa));
   const bool in_progress = rc < 0 && errno == EINPROGRESS;
   if (rc < 0 && !in_progress) {
@@ -249,48 +265,47 @@ TcpCluster::TcpNode::Conn* TcpCluster::TcpNode::DialPeer(NodeId to) {
     ScheduleReconnect(to);
     return nullptr;
   }
-  auto conn = std::make_unique<Conn>();
-  conn->fd = fd;
-  conn->peer = to;
-  conn->outbound = true;
-  conn->connecting = in_progress;
-  conn->epollout = in_progress;
+  Conn* c = AddConn(fd, /*connecting=*/in_progress);
+  c->peer = to;
+  c->outbound = true;
   // First frame on the wire identifies us to the accepting side.
   net::NodeHello hello;
   hello.sender = id_;
-  net::AppendFrame(hello, &conn->out);
-  epoll_event ev{};
-  ev.events = EPOLLIN | (in_progress ? EPOLLOUT : 0u);
-  ev.data.fd = fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-  Conn* raw = conn.get();
-  conns_.emplace(fd, std::move(conn));
-  outbound_[to] = raw;
+  net::AppendFrame(hello, &c->out);
+  outbound_[to] = c;
   // Loopback connects can complete synchronously: that's an established
   // handshake, so the backoff history (including any scheduled retry
   // time) is cleared here exactly like on the EPOLLOUT completion path.
   if (!in_progress) BackoffFor(to).NoteEstablished();
-  dirty_.insert(fd);
-  return raw;
+  MarkDirty(c);
+  return c;
+}
+
+TcpCluster::TcpNode::Conn* TcpCluster::TcpNode::AddConn(int fd,
+                                                        bool connecting) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  EpollCtl(EPOLL_CTL_ADD, fd, EPOLLIN | (connecting ? EPOLLOUT : 0u));
+  std::unique_ptr<Conn>& conn = conns_[fd];
+  conn = std::make_unique<Conn>();
+  conn->fd = fd;
+  conn->connecting = connecting;
+  conn->epollout = connecting;
+  return conn.get();
 }
 
 ReconnectBackoff& TcpCluster::TcpNode::BackoffFor(NodeId peer) {
-  auto it = backoff_.find(peer);
-  if (it == backoff_.end()) {
-    it = backoff_
-             .emplace(peer,
-                      ReconnectBackoff(cluster_->options_.reconnect_min,
-                                       cluster_->options_.reconnect_max))
-             .first;
-  }
-  return it->second;
+  return backoff_
+      .try_emplace(peer, cluster_->options_.reconnect_min,
+                   cluster_->options_.reconnect_max)
+      .first->second;
 }
 
 void TcpCluster::TcpNode::ScheduleReconnect(NodeId peer) {
-  const TimeNs at = BackoffFor(peer).NoteFailure(loop_.Now(), NextRand());
+  const TimeNs at = BackoffFor(peer).NoteFailure(Now(), NextRand());
   // A later failure or an established connection makes this retry stale;
   // DialPeer's CanAttempt gate then turns it into a no-op.
-  loop_.SetTimerAt(at, [this, peer]() {
+  timers_.Add(at, [this, peer]() {
     if (outbound_.count(peer) == 0) DialPeer(peer);
   });
 }
@@ -301,7 +316,6 @@ void TcpCluster::TcpNode::CloseConn(int fd) {
   Conn* c = it->second.get();
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
-  dirty_.erase(fd);
   if (c->outbound) {
     outbound_.erase(c->peer);
     // Queued output dies with the connection (a frame is never resumed
@@ -319,10 +333,14 @@ void TcpCluster::TcpNode::CloseConn(int fd) {
 void TcpCluster::TcpNode::SetEpollOut(Conn* c, bool want) {
   if (c->epollout == want) return;
   c->epollout = want;
+  EpollCtl(EPOLL_CTL_MOD, c->fd, EPOLLIN | (want ? EPOLLOUT : 0u));
+}
+
+void TcpCluster::TcpNode::EpollCtl(int op, int fd, uint32_t events) {
   epoll_event ev{};
-  ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
-  ev.data.fd = c->fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c->fd, &ev);
+  ev.events = events;
+  ev.data.fd = fd;
+  ::epoll_ctl(epoll_fd_, op, fd, &ev);
 }
 
 bool TcpCluster::TcpNode::FlushConn(Conn* c) {
@@ -347,16 +365,23 @@ bool TcpCluster::TcpNode::FlushConn(Conn* c) {
   return true;
 }
 
+void TcpCluster::TcpNode::MarkDirty(Conn* c) {
+  if (c->dirty) return;
+  c->dirty = true;
+  dirty_.push_back(c->fd);
+}
+
 void TcpCluster::TcpNode::FlushDirty() {
-  while (!dirty_.empty()) {
-    const int fd = *dirty_.begin();
-    dirty_.erase(dirty_.begin());
+  for (const int fd : dirty_) {
     auto it = conns_.find(fd);
-    if (it == conns_.end()) continue;
+    if (it == conns_.end()) continue;  // closed since it was listed
     Conn* c = it->second.get();
+    if (!c->dirty) continue;  // fd reused by a conn listed on its own
+    c->dirty = false;
     if (c->connecting) continue;  // flushed on connect completion
     FlushConn(c);
   }
+  dirty_.clear();
 }
 
 void TcpCluster::TcpNode::OnFrame(Conn* c, const uint8_t* payload,
@@ -369,6 +394,14 @@ void TcpCluster::TcpNode::OnFrame(Conn* c, const uint8_t* payload,
     if (dec.GetU32(&sender).ok() && dec.Done() && !c->outbound) {
       c->peer = sender;
       inbound_route_[sender] = c;  // latest connection wins
+      // A peer listens before it dials, so its hello proves it is back:
+      // redial it now, not at a backoff deadline that refused connects
+      // to its dead incarnation may have pushed out to reconnect_max.
+      if (outbound_.count(sender) == 0 &&
+          cluster_->peers_.count(sender) != 0) {
+        BackoffFor(sender).NoteEstablished();
+        DialPeer(sender);
+      }
     }
     return;
   }
@@ -377,7 +410,13 @@ void TcpCluster::TcpNode::OnFrame(Conn* c, const uint8_t* payload,
                     << ": frame before NodeHello, dropping";
     return;
   }
-  loop_.DispatchWire(c->peer, payload, size);
+  MessagePtr msg;
+  Status s = DecodeMessage(payload, size, &msg);
+  if (!s.ok()) {
+    PIG_LOG(kError) << "node " << id_ << ": decode failed: " << s.ToString();
+    return;
+  }
+  actor_->OnMessage(c->peer, msg);
 }
 
 bool TcpCluster::TcpNode::HandleReadable(Conn* c) {
@@ -417,18 +456,10 @@ bool TcpCluster::TcpNode::HandleReadable(Conn* c) {
 }
 
 void TcpCluster::TcpNode::AcceptAll() {
-  for (;;) {
-    int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                       SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;
-    SetNoDelay(fd);
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    conns_.emplace(fd, std::move(conn));
+  int fd;
+  while ((fd = ::accept4(listen_fd_, nullptr, nullptr,
+                         SOCK_NONBLOCK | SOCK_CLOEXEC)) >= 0) {
+    AddConn(fd, /*connecting=*/false);
   }
 }
 
@@ -483,22 +514,41 @@ void TcpCluster::TcpNode::DrainExternalSends() {
     if (external_sends_.empty()) return;
     draining_.swap(external_sends_);
   }
-  for (auto& [to, msg] : draining_) SendOnLoop(to, *msg);
+  for (auto& [to, msg] : draining_) SendOnLoop(to, std::move(msg));
   draining_.clear();
 }
 
 int TcpCluster::TcpNode::PollTimeoutMs() {
-  const TimeNs next = loop_.NextTimerDeadline();
+  const TimeNs next = timers_.NextDeadline();
   if (next < 0) return 100;
-  const TimeNs delta = next - loop_.Now();
-  if (delta <= 0) return 0;
-  return static_cast<int>(
-      std::min<TimeNs>((delta + kMillisecond - 1) / kMillisecond, 100));
+  // Rounded up, so the loop never wakes just before a deadline.
+  return static_cast<int>(std::clamp<TimeNs>(
+      (next - Now() + kMillisecond - 1) / kMillisecond, 0, 100));
+}
+
+void TcpCluster::TcpNode::FireDueTimers() {
+  const TimeNs now = Now();
+  TimeNs when = 0;
+  EventFn cb;
+  // Callbacks may arm or cancel timers; each pop sees the queue as they
+  // left it.
+  while (timers_.PopDue(now, &when, &cb)) {
+    cb();
+    cb.reset();
+  }
+}
+
+void TcpCluster::TcpNode::DispatchSelfMail() {
+  while (!self_mail_.empty()) {
+    const MessagePtr msg = std::move(self_mail_.front());
+    self_mail_.pop_front();
+    actor_->OnMessage(id_, msg);
+  }
 }
 
 void TcpCluster::TcpNode::LoopMain() {
   loop_thread_id_.store(std::this_thread::get_id());
-  loop_.StartActor();
+  actor_->OnStart();
   // Dial every peer the actor's first sends did not; from here on a
   // failed or dropped connection redials from a loop timer.
   for (const auto& [peer, addr] : cluster_->peers_) {
@@ -507,13 +557,12 @@ void TcpCluster::TcpNode::LoopMain() {
   }
   epoll_event events[64];
   while (alive_.load(std::memory_order_acquire)) {
-    loop_.FireDueTimers();
+    FireDueTimers();
     DrainExternalSends();
-    while (loop_.DispatchQueuedMail()) {
-    }
+    DispatchSelfMail();
     FlushDirty();
     // Everything since the last flush was one burst (Env::burst).
-    loop_.EndBurst();
+    ++burst_;
     const int n = ::epoll_wait(epoll_fd_, events, 64, PollTimeoutMs());
     for (int i = 0; i < n; ++i) HandleEvent(events[i]);
   }
@@ -524,7 +573,7 @@ void TcpCluster::TcpNode::LoopMain() {
 // ---------------------------------------------------------------------------
 
 TcpCluster::TcpCluster(uint64_t seed, TcpOptions options)
-    : seed_(seed), options_(options) {}
+    : seed_(seed), options_(options), epoch_(steady_clock::now()) {}
 
 TcpCluster::~TcpCluster() { Stop(); }
 
@@ -546,8 +595,14 @@ uint16_t TcpCluster::port(NodeId id) const {
   return it == nodes_.end() ? 0 : it->second->port();
 }
 
+TimeNs TcpCluster::Now() const {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             steady_clock::now() - epoch_)
+      .count();
+}
+
 void TcpCluster::Start() {
-  clock_.Reset();
+  epoch_ = steady_clock::now();
   running_.store(true);
   for (NodeId id : order_) nodes_[id]->Start();
 }
@@ -566,8 +621,7 @@ void TcpCluster::RestartNode(NodeId id, std::unique_ptr<Actor> actor) {
   auto it = nodes_.find(id);
   if (it == nodes_.end()) return;
   const uint16_t listen_port = it->second->port();
-  it->second->Stop();
-  it->second.reset();  // closes the old listen socket before re-binding
+  it->second.reset();  // stops it, closing its listen socket for re-binding
   it->second = std::make_unique<TcpNode>(this, id, std::move(actor),
                                          listen_port);
   if (running_.load()) it->second->Start();

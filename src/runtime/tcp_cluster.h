@@ -1,34 +1,41 @@
 // Multi-process TCP runtime (Linux epoll).
 //
-// Each locally hosted actor gets its own EventLoop driven by an epoll
-// thread over real nonblocking loopback/LAN sockets, with length-prefixed
-// framing (net/frame.h). Remote actors live in other processes (pig_node,
-// src/runtime/node_main.cc) and are declared with AddPeer. The cluster
-// can also host all nodes in one process — the runtime tests, the
-// examples and the loopback benches do exactly that.
+// Each locally hosted actor runs on its own TcpNode: one epoll thread
+// over real nonblocking loopback/LAN sockets, with length-prefixed
+// framing (net/frame.h). The node is the actor's Env: it owns the
+// actor's timers (a pig::TimerQueue touched only by the loop thread, so
+// due timers fire earliest deadline first, ties in arm order), its rng
+// and its burst counter, and it queues self-sends as MessagePtrs that
+// the loop dispatches after the sending handler returns. Remote actors
+// live in other processes (pig_node, src/runtime/node_main.cc) and are
+// declared with AddPeer. The cluster can also host all nodes in one
+// process — the runtime tests, the examples and the loopback benches do
+// exactly that.
 //
 // Connection model: every node dials every peer in its address map and
 // opens with a NodeHello frame identifying itself. The accepting side
 // learns the dialer from that hello and routes replies back over the same
 // socket, which is how clients (absent from the static peer map) get
 // answered. Connects are nonblocking with exponential-backoff retry, each
-// retry a timer on the node's own event loop, and a dropped connection is
+// retry a timer on the node's own queue, and a dropped connection is
 // redialed the same way; output queued on a dead connection is discarded
 // whole — a frame is never resumed mid-way — and the protocols' own
 // retries/heartbeats recover, exactly the fail-silent Env::Send contract.
+// A stopped node closes its listen socket, so dialers are refused, as
+// they are by a killed pig_node process; a hello from a mapped peer
+// makes the accepting node redial that peer at once, whatever its
+// backoff, so a restarted node is reachable as soon as it dials out.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "consensus/env.h"
-#include "runtime/event_loop.h"
-#include "runtime/transport.h"
 
 namespace pig::runtime {
 
@@ -79,7 +86,7 @@ class TcpCluster {
   Actor* actor(NodeId id);
 
   /// Monotonic nanoseconds since Start().
-  TimeNs Now() const { return clock_.Now(); }
+  TimeNs Now() const;
 
  private:
   class TcpNode;
@@ -91,7 +98,9 @@ class TcpCluster {
 
   uint64_t seed_;
   TcpOptions options_;
-  WallClock clock_;
+  // TimeNs 0 on every node's clock; Start() re-anchors it before any
+  // loop thread runs (mirrors the simulator's virtual epoch).
+  std::chrono::steady_clock::time_point epoch_;
   std::atomic<bool> running_{false};
   // Address map: read-only after Start() (loops read it lock-free).
   std::unordered_map<NodeId, PeerAddr> peers_;

@@ -1,4 +1,5 @@
-// Unit tests for common/: Status/Result, codec, RNG, histogram, logging.
+// Unit tests for common/: Status/Result, codec, RNG, histogram, logging,
+// SmallFn, TimerQueue, FlatSet64.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,6 +12,7 @@
 #include "common/small_fn.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/timer_queue.h"
 #include "common/types.h"
 
 namespace pig {
@@ -327,6 +329,22 @@ TEST(SmallFnTest, EmplaceReplacesTarget) {
   EXPECT_EQ(b, 1);
   fn.reset();
   EXPECT_FALSE(static_cast<bool>(fn));
+}
+
+// ---------------------------------------------------------------------------
+// TimerQueue: the timer queue under sim::Scheduler and every TcpCluster
+// node. SchedulerTest (sim_test) covers its order, ties and cancels.
+
+TEST(TimerQueueTest, NextDeadlineClearsWhenOnlyEntryIsCanceled) {
+  TimerQueue queue;
+  const TimerQueue::Key key = queue.Add(kSecond, [] {});
+  EXPECT_EQ(queue.NextDeadline(), kSecond);
+  queue.Cancel(key);
+  EXPECT_EQ(queue.NextDeadline(), -1);
+  TimeNs when = 0;
+  EventFn fn;
+  EXPECT_FALSE(queue.PopDue(2 * kSecond, &when, &fn));
+  EXPECT_TRUE(queue.empty());
 }
 
 // ---------------------------------------------------------------------------

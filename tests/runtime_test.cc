@@ -1,18 +1,22 @@
 // Integration tests for the wall-clock runtime (TcpCluster, all nodes in
-// one process over loopback sockets): full encode/decode on every hop,
-// wall-clock timers, concurrent clients, all three protocols.
+// one process over loopback sockets): full encode/decode on every hop
+// between nodes, wall-clock timers and self-sends through a node's Env,
+// concurrent clients, all three protocols.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "consensus/client_messages.h"
 #include "epaxos/messages.h"
 #include "epaxos/replica.h"
 #include "paxos/replica.h"
 #include "pigpaxos/messages.h"
 #include "pigpaxos/replica.h"
-#include "runtime/event_loop.h"
 #include "runtime/sync_client.h"
 #include "runtime/tcp_cluster.h"
 
@@ -236,115 +240,132 @@ TEST_F(RuntimeTest, StopIsIdempotentAndDestructorSafe) {
   cluster.reset();  // destructor after Stop: no crash
 }
 
-// --- EventLoop timer table ------------------------------------------------
-// The loop is driven by hand: StartActor arms the timers, a sleep makes
-// them all due, and one FireDueTimers pass runs them.
+// --- TcpNode as Env ------------------------------------------------------
+// One actor alone on a TcpCluster: its hooks run on the node's loop
+// thread and record into test-local state, read after Stop() has joined
+// that thread.
 
-class NullTransport final : public runtime::Transport {
+/// Runs the test's hooks from OnStart and OnMessage, like a replica.
+class ProbeActor final : public Actor {
  public:
-  void Send(NodeId, NodeId, MessagePtr) override {}
-};
+  using StartFn = std::function<void(Env*)>;
+  using MessageFn = std::function<void(NodeId, const MessagePtr&)>;
 
-/// Arms timers from OnStart through its Env, like a protocol replica.
-class TimerActor final : public Actor {
- public:
-  explicit TimerActor(std::function<void(Env*)> on_start)
-      : on_start_(std::move(on_start)) {}
+  ProbeActor(StartFn on_start, MessageFn on_message)
+      : on_start_(std::move(on_start)), on_message_(std::move(on_message)) {}
   void OnStart() override { on_start_(env_); }
-  void OnMessage(NodeId, const MessagePtr&) override {}
+  void OnMessage(NodeId from, const MessagePtr& msg) override {
+    if (on_message_) on_message_(from, msg);
+  }
 
  private:
-  std::function<void(Env*)> on_start_;
+  StartFn on_start_;
+  MessageFn on_message_;
 };
 
-class EventLoopTimerTest : public ::testing::Test {
- protected:
-  std::unique_ptr<runtime::EventLoop> MakeLoop(
-      std::function<void(Env*)> on_start) {
-    auto loop = std::make_unique<runtime::EventLoop>(
-        0, std::make_unique<TimerActor>(std::move(on_start)), &transport_,
-        &clock_, /*seed=*/1);
-    loop->StartActor();
-    return loop;
+/// Hosts one ProbeActor as node 0 until a hook raises `done` (or 5 s
+/// pass), then stops the cluster.
+void RunAlone(std::atomic<bool>& done, ProbeActor::StartFn on_start,
+              ProbeActor::MessageFn on_message = {}) {
+  runtime::TcpCluster cluster(/*seed=*/9);
+  cluster.AddActor(0, std::make_unique<ProbeActor>(std::move(on_start),
+                                                   std::move(on_message)));
+  cluster.Start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  cluster.Stop();
+  EXPECT_TRUE(done.load()) << "scenario did not finish within 5 s";
+}
 
-  static void SleepUntilDue() {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-
-  NullTransport transport_;
-  runtime::WallClock clock_;
-};
-
-TEST_F(EventLoopTimerTest, DueTimersFireInDeadlineOrder) {
+TEST_F(RuntimeTest, EnvTimersFireInDeadlineOrder) {
   std::vector<int> fired;
-  auto loop = MakeLoop([&](Env* env) {
-    env->SetTimer(3 * kMillisecond, [&] { fired.push_back(3); });
+  std::atomic<bool> done{false};
+  RunAlone(done, [&](Env* env) {
+    env->SetTimer(3 * kMillisecond, [&] {
+      fired.push_back(3);
+      done = true;
+    });
     env->SetTimer(1 * kMillisecond, [&] { fired.push_back(1); });
     env->SetTimer(2 * kMillisecond, [&] { fired.push_back(2); });
   });
-  SleepUntilDue();
-  EXPECT_TRUE(loop->FireDueTimers());
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(loop->NextTimerDeadline(), -1);
 }
 
-TEST_F(EventLoopTimerTest, EqualDeadlinesFireInArmOrder) {
+TEST_F(RuntimeTest, EnvTimerCallbackCancelsDueSibling) {
   std::vector<int> fired;
-  auto loop = MakeLoop([](Env*) {});
-  const TimeNs at = loop->Now() + kMillisecond;
-  for (int i = 0; i < 4; ++i) {
-    loop->SetTimerAt(at, [&fired, i] { fired.push_back(i); });
-  }
-  SleepUntilDue();
-  EXPECT_TRUE(loop->FireDueTimers());
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST_F(EventLoopTimerTest, CallbackCancelsDueSibling) {
-  std::vector<int> fired;
+  std::atomic<bool> done{false};
   TimerId sibling = kInvalidTimer;
-  auto loop = MakeLoop([&](Env* env) {
+  RunAlone(done, [&](Env* env) {
     env->SetTimer(1 * kMillisecond, [&fired, &sibling, env] {
       fired.push_back(1);
       env->CancelTimer(sibling);
     });
     sibling = env->SetTimer(2 * kMillisecond, [&] { fired.push_back(2); });
+    env->SetTimer(20 * kMillisecond, [&] {
+      fired.push_back(3);
+      done = true;
+    });
+    // Both deadlines pass before the loop's first timer pass, so the
+    // sibling is already due when it is canceled.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   });
-  SleepUntilDue();
-  EXPECT_TRUE(loop->FireDueTimers());
-  EXPECT_EQ(fired, (std::vector<int>{1}));
-  EXPECT_EQ(loop->NextTimerDeadline(), -1);
+  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
 }
 
-TEST_F(EventLoopTimerTest, CancelAfterFireLeavesReusedSlotAlone) {
+TEST_F(RuntimeTest, EnvStaleCancelLeavesReusedTimerSlotAlone) {
   std::vector<int> fired;
+  std::atomic<bool> done{false};
   TimerId first = kInvalidTimer;
-  auto loop = MakeLoop([&](Env* env) {
-    first = env->SetTimer(kMillisecond, [&] { fired.push_back(1); });
+  TimerId second = kInvalidTimer;
+  RunAlone(done, [&](Env* env) {
+    first = env->SetTimer(kMillisecond, [&, env] {
+      fired.push_back(1);
+      // Reuses the slot the firing timer has just freed.
+      second = env->SetTimer(kMillisecond, [&] {
+        fired.push_back(2);
+        done = true;
+      });
+      env->CancelTimer(first);  // stale id: must not touch `second`
+    });
   });
-  SleepUntilDue();
-  EXPECT_TRUE(loop->FireDueTimers());
-  Env* env = loop->actor()->env();
-  // Reuses the slot the fired timer just freed.
-  const TimerId second =
-      env->SetTimer(kMillisecond, [&] { fired.push_back(2); });
   EXPECT_NE(second, kInvalidTimer);
   EXPECT_NE(second, first);
-  env->CancelTimer(first);  // stale id: must not touch `second`
-  SleepUntilDue();
-  EXPECT_TRUE(loop->FireDueTimers());
   EXPECT_EQ(fired, (std::vector<int>{1, 2}));
 }
 
-TEST_F(EventLoopTimerTest, NextDeadlineClearsWhenOnlyTimerIsCanceled) {
-  TimerId id = kInvalidTimer;
-  auto loop = MakeLoop(
-      [&](Env* env) { id = env->SetTimer(kSecond, [] {}); });
-  EXPECT_GE(loop->NextTimerDeadline(), kSecond);
-  loop->actor()->env()->CancelTimer(id);
-  EXPECT_EQ(loop->NextTimerDeadline(), -1);
-  EXPECT_FALSE(loop->FireDueTimers());
+TEST_F(RuntimeTest, SelfSendsArriveOnceAfterTheSenderReturns) {
+  auto numbered = [](uint64_t seq) {
+    auto msg = std::make_shared<ClientReply>();
+    msg->seq = seq;
+    return msg;
+  };
+  bool in_handler = false;
+  int deliveries_inside_handler = 0;
+  std::vector<std::pair<NodeId, uint64_t>> got;  // (from, seq)
+  std::atomic<bool> done{false};
+  RunAlone(
+      done,
+      [&](Env* env) {
+        in_handler = true;
+        env->Send(env->self(), numbered(1));
+        env->SetTimer(kMillisecond, [&, env] {
+          in_handler = true;
+          env->Send(env->self(), numbered(2));
+          in_handler = false;
+        });
+        // Late enough that a duplicate delivery would have landed.
+        env->SetTimer(30 * kMillisecond, [&] { done = true; });
+        in_handler = false;
+      },
+      [&](NodeId from, const MessagePtr& msg) {
+        if (in_handler) deliveries_inside_handler++;
+        got.emplace_back(from, static_cast<const ClientReply&>(*msg).seq);
+      });
+  EXPECT_EQ(deliveries_inside_handler, 0);
+  EXPECT_EQ(got, (std::vector<std::pair<NodeId, uint64_t>>{{0, 1}, {0, 2}}));
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
 // End-to-end tests of a PigPaxos cluster on the TCP runtime, all nodes
 // in one process over loopback sockets: the exact replicated state of a
 // fault-free workload, relay liveness at startup and under relay
-// crashes, and durable restart from disk.
+// crashes, a stopped node refusing connections and its peers redialing
+// it once it restarts, and durable restart from disk.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -22,6 +27,7 @@ namespace pig {
 namespace {
 
 using runtime::TcpCluster;
+using runtime::TcpOptions;
 
 constexpr int kOps = 15;
 constexpr NodeId kReplicas = 5;
@@ -158,6 +164,75 @@ TEST_F(TcpRuntimeTest, SurvivesKilledAndRestartedRelay) {
     EXPECT_EQ(leader->store().Get(key), "x") << key;
     EXPECT_EQ(leader->store().VersionOf(key), 1u) << key;
   }
+}
+
+/// Dials 127.0.0.1:`port` with a blocking connect; returns 0 when the
+/// handshake completes, else the connect errno.
+int ConnectErrno(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return errno;
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(port);
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa));
+  const int err = rc == 0 ? 0 : errno;
+  ::close(fd);
+  return err;
+}
+
+// Regression: a stopped node kept its listen socket open, so dialers
+// still completed handshakes into a backlog nobody read. A kill -9ed
+// pig_node refuses them, and so must StopNode, or peers never take the
+// refused-connect and backoff path that real crashes take.
+TEST_F(TcpRuntimeTest, StoppedNodeRefusesConnections) {
+  TcpCluster cluster(/*seed=*/19);
+  for (NodeId i = 0; i < kReplicas; ++i) cluster.AddActor(i, MakeReplica(i));
+  cluster.Start();
+  const uint16_t port = cluster.port(2);
+  EXPECT_EQ(ConnectErrno(port), 0);
+
+  cluster.StopNode(2);
+  EXPECT_EQ(ConnectErrno(port), ECONNREFUSED);
+  EXPECT_EQ(cluster.port(2), port);
+
+  // The restarted node listens on the same port again.
+  cluster.RestartNode(2, MakeReplica(2));
+  EXPECT_EQ(cluster.port(2), port);
+  EXPECT_EQ(ConnectErrno(port), 0);
+  cluster.Stop();
+}
+
+// Regression: peers refused by a stopped node back off toward
+// reconnect_max, longer than a restarted replica's election timeout, so
+// the fresh replica heard nobody and could campaign against a healthy
+// leader. The restarted node's hello must make its peers redial it at
+// once; with a 30 s backoff, that is the only way it can be reached.
+TEST_F(TcpRuntimeTest, RestartedNodeIsRedialedOnItsHello) {
+  TcpOptions options;
+  options.reconnect_min = 30 * kSecond;
+  options.reconnect_max = 30 * kSecond;
+  TcpCluster cluster(/*seed=*/23, options);
+  runtime::SyncClient* kv = StartCluster(cluster);
+  auto put = [&](const std::string& key) {
+    Result<std::string> r =
+        kv->Execute(OpType::kPut, key, "x", /*timeout=*/10 * kSecond);
+    ASSERT_TRUE(r.ok()) << key << ": " << r.status().ToString();
+  };
+
+  put("before");
+  cluster.StopNode(2);
+  // Peers see the dropped connections and schedule their redials 30 s
+  // out.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  cluster.RestartNode(2, MakeReplica(2));
+  put("after");
+  std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+  cluster.Stop();
+
+  const auto* leader = Replica(cluster, 0);
+  EXPECT_TRUE(leader->IsLeader());
+  EXPECT_EQ(Replica(cluster, 2)->store().Dump(), leader->store().Dump());
 }
 
 // The durability acceptance test: a replica backed by FileStorage is
